@@ -31,7 +31,8 @@ struct ProcessConfig {
     /// pipelines constructed with DspPath::kAuto.
     std::string dsp_path;
     /// BLINKRADAR_SIMD_BACKEND ("scalar" | "avx2" | "neon"): kernel
-    /// table override for the SoA path.
+    /// table override for the SoA path. "scalar" also forces the
+    /// portable slice-by-8 backend of state::crc32.
     std::string simd_backend;
     /// BLINKRADAR_THREADS: shared thread-pool size override (unparsed;
     /// ThreadPool::parse_thread_count owns the validation).

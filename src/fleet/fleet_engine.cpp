@@ -11,6 +11,17 @@ namespace blinkradar::fleet {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// A pump with at most this many queued frames (~0.15 ms of steady-state
+/// pipeline work) drains on the calling thread. Fanning it out would
+/// wake every pool worker for a few microseconds of work each, and the
+/// pump would then wait on the slowest wake-up: on a loaded host that
+/// wait, not the frames, set a live gateway's tail latency.
+constexpr std::size_t kInlinePumpFrames = 32;
+
+}  // namespace
+
 /// Everything one driver session owns. Only ever touched by the control
 /// lock's holder or by the single worker currently draining it, so no
 /// field needs its own synchronisation.
@@ -131,10 +142,18 @@ void FleetEngine::feed(SessionId id, const radar::FrameSeries& frames) {
     s.inbox.insert(s.inbox.end(), frames.begin(), frames.end());
 }
 
-void FleetEngine::serialize_session(Session& s) const {
-    state::StateWriter writer;
+std::vector<std::uint8_t> FleetEngine::checkpoint(Session& s) const {
+    // Written into the autosnapshot's buffer: once a session has
+    // checkpointed, later checkpoints allocate nothing.
+    state::StateWriter writer(std::move(s.autosnapshot));
     s.pipeline->save_state(writer);
-    std::vector<std::uint8_t> bytes = writer.finish();
+    return writer.finish();
+}
+
+void FleetEngine::serialize_session(Session& s) const {
+    // Eviction drops the autosnapshot anyway, so its buffer takes the
+    // eviction bytes.
+    std::vector<std::uint8_t> bytes = checkpoint(s);
     if (config_.spill_dir.empty()) {
         s.evicted_state = std::move(bytes);
     } else {
@@ -217,6 +236,10 @@ void FleetEngine::rehydrate(Session& s) const {
     s.pipeline->restore_state(reader);
     s.evicted_state.clear();
     s.evicted_state.shrink_to_fit();
+    // The restored bytes' buffer becomes the next autosnapshot's (it
+    // stays empty, so there is still no warm-restore point until then).
+    bytes.clear();
+    s.autosnapshot = std::move(bytes);
     s.evicted = false;
     s.frames_since_snapshot = 0;
     ++s.stats.rehydrations;
@@ -370,9 +393,7 @@ void FleetEngine::drain(Session& s, ShardStats& worker) const {
         ++worker.frames_processed;
         if (config_.snapshot_interval_frames > 0 &&
             ++s.frames_since_snapshot >= config_.snapshot_interval_frames) {
-            state::StateWriter writer(std::move(s.autosnapshot));
-            s.pipeline->save_state(writer);
-            s.autosnapshot = writer.finish();
+            s.autosnapshot = checkpoint(s);
             s.frames_since_snapshot = 0;
         }
     }
@@ -394,35 +415,43 @@ std::size_t FleetEngine::pump() {
     // traces reproducible enough to read. Draining counts as activity
     // for the residency policy's pump-count clock.
     std::vector<std::vector<Session*>> shard(n_shards);
+    std::size_t queued = 0;
     for (auto& [id, s] : sessions_)
         if (!s->inbox.empty()) {
             s->last_active_pump = engine_stats_.pumps;
+            queued += s->inbox.size();
             shard[static_cast<std::size_t>(id % n_shards)].push_back(
                 s.get());
         }
 
-    std::vector<std::atomic<std::size_t>> cursor(n_shards);
-    for (auto& c : cursor) c.store(0, std::memory_order_relaxed);
-
     last_pump_stats_.assign(n_shards, ShardStats{});
     std::vector<ShardStats>& stats = last_pump_stats_;
 
-    // One parallel_for index per shard. Worker w drains shard w, then
-    // steals round-robin from w+1, w+2, ... Each session is claimed by
-    // exactly one fetch_add winner and drained whole (rules 1 and 3 of
-    // the determinism contract). Worker w writes only stats[w].
-    pool_->parallel_for(n_shards, [&](std::size_t w) {
-        for (std::size_t offset = 0; offset < n_shards; ++offset) {
-            const std::size_t t = (w + offset) % n_shards;
-            for (;;) {
-                const std::size_t i =
-                    cursor[t].fetch_add(1, std::memory_order_relaxed);
-                if (i >= shard[t].size()) break;
-                drain(*shard[t][i], stats[w]);
-                if (t != w) ++stats[w].sessions_stolen;
+    if (queued <= kInlinePumpFrames) {
+        // Small pump: drain every shard here, each into its own slot.
+        for (std::size_t t = 0; t < n_shards; ++t)
+            for (Session* s : shard[t]) drain(*s, stats[t]);
+    } else {
+        std::vector<std::atomic<std::size_t>> cursor(n_shards);
+        for (auto& c : cursor) c.store(0, std::memory_order_relaxed);
+
+        // One parallel_for index per shard. Worker w drains shard w, then
+        // steals round-robin from w+1, w+2, ... Each session is claimed
+        // by exactly one fetch_add winner and drained whole (rules 1 and
+        // 3 of the determinism contract). Worker w writes only stats[w].
+        pool_->parallel_for(n_shards, [&](std::size_t w) {
+            for (std::size_t offset = 0; offset < n_shards; ++offset) {
+                const std::size_t t = (w + offset) % n_shards;
+                for (;;) {
+                    const std::size_t i =
+                        cursor[t].fetch_add(1, std::memory_order_relaxed);
+                    if (i >= shard[t].size()) break;
+                    drain(*shard[t][i], stats[w]);
+                    if (t != w) ++stats[w].sessions_stolen;
+                }
             }
-        }
-    });
+        });
+    }
 
     // Residency policy runs after the drain, while every inbox the pump
     // saw is empty — so "has queued frames" below means "fed during this

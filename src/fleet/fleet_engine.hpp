@@ -153,7 +153,9 @@ struct SessionStats {
 /// Per-worker scheduling counters for one pump() (NOT deterministic —
 /// which worker drains which session depends on timing; only the union
 /// of drained sessions is fixed). Slot w is written exclusively by
-/// parallel_for worker w, so reads after pump() are race-free.
+/// parallel_for worker w (by the calling thread, with shard w's
+/// sessions, when a small pump drains inline), so reads after pump()
+/// are race-free.
 struct ShardStats {
     std::uint64_t sessions_drained = 0;
     std::uint64_t frames_processed = 0;
@@ -202,9 +204,11 @@ public:
     void feed(SessionId id, radar::RadarFrame&& frame);
     void feed(SessionId id, const radar::FrameSeries& frames);
 
-    /// Drain every queued frame of every session over the pool.
-    /// Evicted sessions with queued frames are rehydrated first (on the
-    /// draining worker). Returns the number of frames processed.
+    /// Drain every queued frame of every session over the pool; a pump
+    /// of a few dozen frames or fewer drains on the calling thread
+    /// instead (same results, no worker wake-ups). Evicted sessions
+    /// with queued frames are rehydrated first (on the draining
+    /// worker). Returns the number of frames processed.
     std::size_t pump();
 
     /// Serialise a session's state (to spill_dir or memory) and destroy
@@ -265,6 +269,7 @@ private:
     const Session& session_ref(SessionId id) const;
     std::string spill_path(SessionId id) const;
     void build_pipeline(Session& s) const;
+    std::vector<std::uint8_t> checkpoint(Session& s) const;
     void serialize_session(Session& s) const;
     void evict_locked(Session& s);
     void enforce_residency_locked();

@@ -19,10 +19,12 @@
 //
 // The record CRC-32 (state::crc32, IEEE 802.3 reflected) covers the 16
 // header bytes after the sync word plus the payload, so a corrupted
-// length field cannot silently misframe the stream. `seq` is the
-// producer's record counter; the decoder uses it to tell re-delivered /
-// reordered records (which FrameGuard then quarantines by timestamp)
-// from fresh ones, and to count transport gaps.
+// length field cannot silently misframe the stream. Its backend
+// (PCLMULQDQ folding or slice-by-8) follows BLINKRADAR_SIMD_BACKEND:
+// "scalar" forces slice-by-8; the bytes are the same either way. `seq`
+// is the producer's record counter; the decoder uses it to tell
+// re-delivered / reordered records (which FrameGuard then quarantines
+// by timestamp) from fresh ones, and to count transport gaps.
 //
 // Record types:
 //   kHello  - opens a stream: the radar configuration the session needs

@@ -1,6 +1,6 @@
 #include "state/snapshot.hpp"
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cctype>
@@ -31,21 +31,6 @@ constexpr std::size_t kHeaderLen = 8;        // magic + version + flags
 constexpr std::size_t kSectionHeaderLen = 12;  // tag + ver + rsv + len
 constexpr std::size_t kCrcLen = 4;
 
-/// CRC-32 lookup table (IEEE 802.3 reflected polynomial 0xEDB88320),
-/// generated once at static-init time.
-struct Crc32Table {
-    std::array<std::uint32_t, 256> t{};
-    Crc32Table() {
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-    }
-};
-const Crc32Table kCrcTable;
-
 std::uint16_t load_u16(const std::uint8_t* p) {
     return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
@@ -63,13 +48,6 @@ std::uint64_t load_u64(const std::uint8_t* p) {
 }
 
 }  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-    std::uint32_t c = 0xFFFFFFFFu;
-    for (const std::uint8_t b : data)
-        c = kCrcTable.t[(c ^ b) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
-}
 
 std::string tag_name(std::uint32_t tag) {
     char chars[4] = {static_cast<char>(tag & 0xFF),
@@ -258,16 +236,32 @@ void StateWriter::write_complex_planes(std::span<const double> re,
                                        std::span<const double> im) {
     BR_EXPECTS(re.size() == im.size());
     write_u64(re.size());
-    // Interleave while appending: same wire bytes as write_complex_span
-    // on the equivalent interleaved signal.
-    buf_.reserve(buf_.size() + re.size() * 2 * sizeof(double));
-    for (std::size_t j = 0; j < re.size(); ++j) {
-        if constexpr (std::endian::native == std::endian::little) {
-            const auto* pr = reinterpret_cast<const std::uint8_t*>(&re[j]);
-            const auto* pi = reinterpret_cast<const std::uint8_t*>(&im[j]);
-            buf_.insert(buf_.end(), pr, pr + sizeof(double));
-            buf_.insert(buf_.end(), pi, pi + sizeof(double));
-        } else {
+    // Same wire bytes as write_complex_span on the equivalent interleaved
+    // signal. Grow once, interleave a block at a time into a stack
+    // buffer and append each block: a pipeline window is ~38k samples,
+    // and two inserts per sample paid a capacity check each. (Resizing
+    // and interleaving in place measured ~10 MB more peak RSS over a
+    // 64-session fleet than appending.) Growth is geometric: a pipeline
+    // writes its window one frame (~2.4 KB) per call, and an exact
+    // reserve per call reallocated and copied a fresh writer's whole
+    // buffer ~250 times per checkpoint.
+    if constexpr (std::endian::native == std::endian::little) {
+        const std::size_t need = buf_.size() + re.size() * 2 * sizeof(double);
+        if (need > buf_.capacity())
+            buf_.reserve(std::max(need, 2 * buf_.capacity()));
+        constexpr std::size_t kBlock = 256;
+        double block[2 * kBlock];
+        for (std::size_t j0 = 0; j0 < re.size(); j0 += kBlock) {
+            const std::size_t m = std::min(kBlock, re.size() - j0);
+            for (std::size_t j = 0; j < m; ++j) {
+                block[2 * j] = re[j0 + j];
+                block[2 * j + 1] = im[j0 + j];
+            }
+            const auto* p = reinterpret_cast<const std::uint8_t*>(block);
+            buf_.insert(buf_.end(), p, p + m * 2 * sizeof(double));
+        }
+    } else {
+        for (std::size_t j = 0; j < re.size(); ++j) {
             write_f64(re[j]);
             write_f64(im[j]);
         }
@@ -485,29 +479,17 @@ void StateReader::read_complex_planes_into(std::vector<double>& re,
     need(n * 16 < n ? SIZE_MAX : n * 16);
     re.resize(n);
     im.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        double r = 0.0;
-        double i = 0.0;
+    const std::uint8_t* in = bytes_.data() + cursor_;
+    for (std::size_t j = 0; j < n; ++j, in += 2 * sizeof(double)) {
         if constexpr (std::endian::native == std::endian::little) {
-            std::memcpy(&r, bytes_.data() + cursor_ + j * 16, sizeof(double));
-            std::memcpy(&i, bytes_.data() + cursor_ + j * 16 + 8,
-                        sizeof(double));
+            std::memcpy(&re[j], in, sizeof(double));
+            std::memcpy(&im[j], in + sizeof(double), sizeof(double));
         } else {
-            std::uint64_t rb = 0;
-            std::uint64_t ib = 0;
-            for (std::size_t k = 0; k < 8; ++k) {
-                rb |= static_cast<std::uint64_t>(
-                          bytes_[cursor_ + j * 16 + k])
-                      << (8 * k);
-                ib |= static_cast<std::uint64_t>(
-                          bytes_[cursor_ + j * 16 + 8 + k])
-                      << (8 * k);
-            }
-            std::memcpy(&r, &rb, sizeof(double));
-            std::memcpy(&i, &ib, sizeof(double));
+            const std::uint64_t rb = load_u64(in);
+            const std::uint64_t ib = load_u64(in + sizeof(double));
+            std::memcpy(&re[j], &rb, sizeof(double));
+            std::memcpy(&im[j], &ib, sizeof(double));
         }
-        re[j] = r;
-        im[j] = i;
     }
     cursor_ += n * 16;
 }
@@ -633,11 +615,20 @@ std::size_t cleanup_orphan_temps(const std::string& dir) {
 }
 
 std::vector<std::uint8_t> read_snapshot_file(const std::string& path) {
+    // A directory opens as a stream on POSIX but has no size: tellg()
+    // fails with -1, which must not become a vector length.
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::file_status st = fs::status(path, ec);
+    if (fs::exists(st) && !fs::is_regular_file(st))
+        throw SnapshotError("snapshot: " + path + " is not a regular file");
     std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is.good())
         throw SnapshotError("snapshot: cannot open " + path +
                             " for reading");
     const std::streamsize size = is.tellg();
+    if (size < 0)
+        throw SnapshotError("snapshot: cannot size " + path);
     is.seekg(0, std::ios::beg);
     std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
     if (size > 0 &&

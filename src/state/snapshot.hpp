@@ -67,7 +67,9 @@ constexpr std::uint32_t make_tag(const char (&s)[5]) {
 /// when not printable).
 std::string tag_name(std::uint32_t tag);
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF).
+/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF). Runs on the
+/// fastest backend the CPU offers (PCLMULQDQ folding, else slice-by-8;
+/// see crc32_backends.hpp); every backend returns the same value.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// Serialises state into the container format. Usage: begin_section,
@@ -87,12 +89,12 @@ public:
     void end_section();
 
     /// Switch end_section() to writing a zero CRC placeholder instead of
-    /// computing the real checksum. Checksumming is by far the dominant
-    /// cost of serialising large states (the table-driven CRC runs at a
-    /// few ns/byte, ~30x the bulk-copy cost), so hot-path writers — the
-    /// flight recorder's periodic in-memory replay-base checkpoints —
-    /// defer it and call seal_section_crcs() once, at dump time, on the
-    /// rare buffers that actually leave the process. A deferred
+    /// computing the real checksum. Checksumming is the largest cost of
+    /// serialising large states after the copy itself (~1.6x the bulk
+    /// copy with the PCLMUL backend, ~20x with slice-by-8), so hot-path
+    /// writers — the flight recorder's periodic in-memory replay-base
+    /// checkpoints — defer it and call seal_section_crcs() once, at dump
+    /// time, on the rare buffers that actually leave the process. A deferred
     /// container MUST be sealed before it is handed to StateReader.
     void defer_crcs() noexcept { defer_crc_ = true; }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/random.hpp"
 #include "common/units.hpp"
@@ -27,6 +28,10 @@ struct FitCase {
     const char* name;
     CircleFit (*fit)(std::span<const Complex>);
 };
+
+// Print the case by name so the listed test names stay the same from run to
+// run; gtest's default dumps the struct bytes, which hold ASLR'd addresses.
+void PrintTo(const FitCase& c, std::ostream* os) { *os << c.name; }
 
 class AllFitters : public ::testing::TestWithParam<FitCase> {};
 

@@ -5,6 +5,7 @@
 // leg runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -210,6 +211,95 @@ TEST(Fleet, EvictRehydrateMidRunIsBitIdentical) {
                 dir + "/session-" + std::to_string(ids[0]) + ".snap";
             engine.close(ids[0]);
             EXPECT_FALSE(fs::exists(path));
+        }
+        fs::remove_all(dir);
+    }
+}
+
+TEST(Fleet, SmallPumpsDrainInlineBitIdentical) {
+    // One frame per session per pump: every pump is small enough to
+    // drain on the calling thread, shard by shard into its own slot.
+    const auto sims = make_sessions(4, 8.0);
+    std::vector<std::vector<core::FrameResult>> ref(sims.size());
+    for (std::size_t s = 0; s < sims.size(); ++s) {
+        core::BlinkRadarPipeline pipe(sims[s].radar);
+        for (const radar::RadarFrame& f : sims[s].frames)
+            ref[s].push_back(pipe.process(f));
+    }
+
+    ThreadPool pool(3);
+    fleet::FleetConfig cfg;
+    cfg.n_shards = 3;
+    fleet::FleetEngine engine(cfg, &pool);
+    std::vector<fleet::SessionId> ids;
+    for (const auto& sim : sims) ids.push_back(engine.create_session(sim.radar));
+
+    std::vector<std::uint64_t> per_shard(cfg.n_shards, 0);
+    for (const auto id : ids) ++per_shard[id % cfg.n_shards];
+    for (std::size_t i = 0; i < sims[0].frames.size(); ++i) {
+        for (std::size_t s = 0; s < sims.size(); ++s)
+            engine.feed(ids[s], sims[s].frames[i]);
+        ASSERT_EQ(engine.pump(), sims.size());
+        const auto& st = engine.last_pump_stats();
+        ASSERT_EQ(st.size(), cfg.n_shards);
+        for (std::size_t t = 0; t < st.size(); ++t) {
+            EXPECT_EQ(st[t].sessions_drained, per_shard[t]) << "shard " << t;
+            EXPECT_EQ(st[t].frames_processed, per_shard[t]);
+            EXPECT_EQ(st[t].sessions_stolen, 0u);
+        }
+    }
+    for (std::size_t s = 0; s < sims.size(); ++s) {
+        const auto& got = engine.results(ids[s]);
+        ASSERT_EQ(got.size(), ref[s].size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            expect_result_eq(got[i], ref[s][i], s, i);
+    }
+}
+
+TEST(Fleet, RepeatedEvictRehydrateAcrossAutosnapshotsIsBitIdentical) {
+    // Eviction writes into the autosnapshot's buffer and rehydration
+    // hands the restored bytes' buffer back to the autosnapshot; cycling
+    // both across autosnapshot boundaries must not change a result.
+    const auto sims = make_sessions(2, 12.0);
+    std::vector<std::vector<core::FrameResult>> ref(sims.size());
+    for (std::size_t s = 0; s < sims.size(); ++s) {
+        core::BlinkRadarPipeline pipe(sims[s].radar);
+        for (const radar::RadarFrame& f : sims[s].frames)
+            ref[s].push_back(pipe.process(f));
+    }
+
+    for (const bool spill : {false, true}) {
+        const std::string dir = "fleet_recycle_test_dir";
+        fs::remove_all(dir);
+        ThreadPool pool(2);
+        fleet::FleetConfig cfg;
+        cfg.n_shards = 2;
+        cfg.snapshot_interval_frames = 40;
+        if (spill) cfg.spill_dir = dir;
+        fleet::FleetEngine engine(cfg, &pool);
+        std::vector<fleet::SessionId> ids;
+        for (const auto& sim : sims)
+            ids.push_back(engine.create_session(sim.radar));
+
+        const std::size_t kChunk = 70;  // not a multiple of the interval
+        std::size_t cycles = 0;
+        for (std::size_t off = 0; off < sims[0].frames.size(); off += kChunk) {
+            for (std::size_t s = 0; s < sims.size(); ++s)
+                for (std::size_t i = off;
+                     i < std::min(off + kChunk, sims[s].frames.size()); ++i)
+                    engine.feed(ids[s], sims[s].frames[i]);
+            engine.pump();
+            for (const auto id : ids) engine.evict(id);
+            ++cycles;
+        }
+        for (std::size_t s = 0; s < sims.size(); ++s) {
+            const auto& got = engine.results(ids[s]);
+            ASSERT_EQ(got.size(), ref[s].size()) << "spill=" << spill;
+            for (std::size_t i = 0; i < got.size(); ++i)
+                expect_result_eq(got[i], ref[s][i], s, i);
+            EXPECT_EQ(engine.stats(ids[s]).evictions, cycles);
+            EXPECT_EQ(engine.stats(ids[s]).rehydrations, cycles - 1);
+            EXPECT_EQ(engine.stats(ids[s]).cold_restarts, 0u);
         }
         fs::remove_all(dir);
     }

@@ -17,7 +17,12 @@
 #include <unistd.h>
 #endif
 
+#include "common/env_config.hpp"
 #include "common/random.hpp"
+#include "core/pipeline.hpp"
+#include "physio/driver_profile.hpp"
+#include "sim/scenario.hpp"
+#include "state/crc32_backends.hpp"
 #include "state/snapshot.hpp"
 
 using namespace blinkradar;
@@ -97,6 +102,108 @@ TEST(StateSnapshot, Crc32MatchesKnownVector) {
     const std::uint8_t digits[] = {'1', '2', '3', '4', '5',
                                    '6', '7', '8', '9'};
     EXPECT_EQ(state::crc32(digits), 0xCBF43926u);
+}
+
+// --------------------------------------------------- CRC-32 backend pinning
+
+namespace {
+
+/// Bit-at-a-time CRC-32 register update: the definition every backend
+/// must reproduce, written independently of the library's tables.
+std::uint32_t reference_crc32_update(std::uint32_t crc,
+                                     std::span<const std::uint8_t> data) {
+    for (const std::uint8_t b : data) {
+        crc ^= b;
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc;
+}
+
+struct NamedBackend {
+    const char* name;
+    state::detail::Crc32Update update;
+};
+
+/// slice8 always; pclmul where this CPU has it.
+std::vector<NamedBackend> crc32_backends() {
+    std::vector<NamedBackend> out{
+        {"slice8", &state::detail::crc32_update_slice8}};
+    if (const state::detail::Crc32Update f = state::detail::pclmul_crc32())
+        out.push_back({"pclmul", f});
+    return out;
+}
+
+void expect_backends_match(std::span<const std::uint8_t> data,
+                           std::uint32_t init, const std::string& what) {
+    const std::uint32_t want = reference_crc32_update(init, data);
+    for (const NamedBackend& b : crc32_backends())
+        ASSERT_EQ(b.update(init, data), want)
+            << b.name << " diverged on " << what << " (" << data.size()
+            << " bytes)";
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::uint8_t> out(n);
+    for (std::uint8_t& b : out)
+        b = static_cast<std::uint8_t>(rng.engine()() & 0xFFu);
+    return out;
+}
+
+}  // namespace
+
+TEST(Crc32Backends, EveryLengthAcrossTheFoldBoundaries) {
+    // 0-300 crosses the 8-byte slice step, the 16-byte single fold, the
+    // 64-byte minimum of the four-lane fold and several multiples of it.
+    const std::vector<std::uint8_t> bytes = random_bytes(300, 11);
+    for (std::size_t n = 0; n <= bytes.size(); ++n) {
+        const std::span<const std::uint8_t> data(bytes.data(), n);
+        expect_backends_match(data, 0xFFFFFFFFu, "prefix");
+        // A non-initial register: the backends must be pure updates.
+        expect_backends_match(data, 0x12345678u, "prefix, seeded register");
+    }
+}
+
+TEST(Crc32Backends, RandomLengthsAtEveryAlignment) {
+    const std::vector<std::uint8_t> bytes = random_bytes(8192 + 64, 12);
+    Rng rng(13);
+    for (int i = 0; i < 2000; ++i) {
+        const auto offset = static_cast<std::size_t>(rng.uniform_int(0, 63));
+        const auto len = static_cast<std::size_t>(rng.uniform_int(0, 8192));
+        expect_backends_match(
+            std::span<const std::uint8_t>(bytes.data() + offset, len),
+            0xFFFFFFFFu, "offset " + std::to_string(offset));
+    }
+}
+
+TEST(Crc32Backends, RealPipelineSnapshot) {
+    // A full 250-frame window: the ~612 KiB container an autosnapshot or
+    // eviction checksums, section by section and as one buffer.
+    sim::ScenarioConfig sc;
+    Rng rng(42);
+    sc.driver = physio::sample_participants(1, rng).front();
+    sc.duration_s = 12.0;
+    sc.seed = 5;
+    const sim::SimulatedSession s = sim::simulate_session(sc);
+    core::BlinkRadarPipeline pipe(s.radar, {});
+    for (const radar::RadarFrame& f : s.frames) pipe.process(f);
+    StateWriter w;
+    pipe.save_state(w);
+    const std::vector<std::uint8_t> bytes = w.finish();
+    ASSERT_GT(bytes.size(), 512u * 1024u);
+    expect_backends_match(bytes, 0xFFFFFFFFu, "whole pipeline snapshot");
+    // And the stored section CRCs verify under the active backend.
+    EXPECT_NO_THROW(StateReader{bytes});
+}
+
+TEST(Crc32Backends, ActiveBackendHonoursTheScalarOverride) {
+    const state::detail::Crc32Update want =
+        process_config().simd_backend == "scalar" ||
+                state::detail::pclmul_crc32() == nullptr
+            ? &state::detail::crc32_update_slice8
+            : state::detail::pclmul_crc32();
+    EXPECT_EQ(state::detail::active_crc32(), want);
 }
 
 TEST(StateSnapshot, SectionsAreNavigableInAnyOrder) {
@@ -307,6 +414,18 @@ TEST(StateSnapshot, MissingFileThrows) {
     EXPECT_THROW(state::write_snapshot_file(
                      "/nonexistent/dir/never_here.snap", sample_snapshot()),
                  state::SnapshotError);
+}
+
+TEST(StateSnapshot, DirectoryPathThrowsSnapshotError) {
+    // Opening a directory as a stream succeeds on POSIX, but its size is
+    // unknowable: the reader must reject it, not size a buffer from a
+    // failed tellg().
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "snapshot_is_a_dir";
+    std::filesystem::create_directories(dir);
+    EXPECT_THROW(state::read_snapshot_file(dir.string()),
+                 state::SnapshotError);
+    std::filesystem::remove(dir);
 }
 
 TEST(StateSnapshot, DeferredCrcsSealToTheExactEagerBytes) {

@@ -4,6 +4,7 @@
 // determinism of the whole recovery schedule.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -235,6 +236,44 @@ TEST(Supervisor, CorruptNewestSlotFallsBackToOlderSlot) {
     EXPECT_GE(st.cold_restarts, 1u);
     EXPECT_GE(st.restore_failures, 1u);  // the corrupted slot1
     EXPECT_GE(st.warm_restores, 2u);     // memory first, then disk
+}
+
+TEST(Supervisor, DirectorySlotsFallThroughToColdRestart) {
+    // Both slot paths replaced by directories: reading them must fail as
+    // a SnapshotError the restore ladder handles, so the storm ends in a
+    // cold restart instead of an exception escaping process().
+    const sim::SimulatedSession s =
+        simulate_session(reference_scenario(27, 30.0));
+    const std::string dir = testing::TempDir();
+    SupervisorConfig config;
+    config.snapshot_interval_frames = 100;
+    config.snapshot_dir = dir;
+    config.snapshot_basename = "slot_dir_test";
+    config.max_warm_restores = 1;
+    config.backoff_base_frames = 2;
+    config.backoff_cap_frames = 4;
+    config.stall_timeout_s = 0.0;
+    const std::string slots[2] = {dir + "/slot_dir_test.slot0.snap",
+                                  dir + "/slot_dir_test.slot1.snap"};
+    for (const std::string& slot : slots) std::filesystem::remove_all(slot);
+    Supervisor sup(s.radar, {}, config);
+
+    std::size_t i = 0;
+    for (; i < 220; ++i) sup.process(s.frames[i]);
+    ASSERT_EQ(sup.stats().snapshot_failures, 0u);
+    for (const std::string& slot : slots) {
+        ASSERT_TRUE(std::filesystem::remove(slot));
+        ASSERT_TRUE(std::filesystem::create_directory(slot));
+    }
+
+    sup.set_fault_hook(faulting_frames({220, 320}));
+    for (; i < s.frames.size(); ++i)
+        ASSERT_NO_THROW(sup.process(s.frames[i])) << "at frame " << i;
+
+    const SupervisorStats& st = sup.stats();
+    EXPECT_GE(st.cold_restarts, 1u);
+    EXPECT_GE(st.restore_failures, 2u);  // both directory slots
+    for (const std::string& slot : slots) std::filesystem::remove(slot);
 }
 
 TEST(Supervisor, StallWatchdogUsesInjectedClock) {
