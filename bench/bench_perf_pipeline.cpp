@@ -69,34 +69,13 @@ private:
     std::uint64_t n_ = 0;
 };
 
-/// Config pinned to one DSP path, immune to the BLINKRADAR_DSP_PATH
-/// environment override (benches must measure what their name says).
-core::PipelineConfig pinned(core::DspPath path) {
-    core::PipelineConfig config;
-    config.dsp_path = path;
-    return config;
-}
-
-// The legacy interleaved-complex reference path (pre-SoA hot path);
-// kept pinned so the committed baseline numbers stay comparable.
-void BM_PipelinePerFrame(benchmark::State& state) {
-    const auto& s = session();
-    core::BlinkRadarPipeline pipeline(s.radar, pinned(core::DspPath::kScalar));
-    FrameReplayer replay(s);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(pipeline.process(replay.next()));
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PipelinePerFrame);
-
-// The production default: fused SoA kernels through the best SIMD
-// backend for the host. The ratio to BM_PipelinePerFrame is the
-// headline speedup of the vector frame path; also the uninstrumented
-// baseline scripts/check_metrics_overhead.sh pairs the instrumented
-// variants below against.
+// The frame path: fused SoA kernels through the best SIMD backend for
+// the host. Also the uninstrumented baseline
+// scripts/check_metrics_overhead.sh pairs the instrumented variants
+// below against.
 void BM_PipelinePerFrameSimd(benchmark::State& state) {
     const auto& s = session();
-    core::BlinkRadarPipeline pipeline(s.radar, pinned(core::DspPath::kSimd));
+    core::BlinkRadarPipeline pipeline(s.radar);
     FrameReplayer replay(s);
     for (auto _ : state)
         benchmark::DoNotOptimize(pipeline.process(replay.next()));
@@ -117,30 +96,13 @@ obs::MetricsRegistry& bench_registry() {
 // kernel.* histograms BENCH_perf_stages.json is written from.
 void BM_PipelinePerFrameMetrics(benchmark::State& state) {
     const auto& s = session();
-    core::BlinkRadarPipeline pipeline(s.radar, pinned(core::DspPath::kSimd),
-                                      &bench_registry());
+    core::BlinkRadarPipeline pipeline(s.radar, {}, &bench_registry());
     FrameReplayer replay(s);
     for (auto _ : state)
         benchmark::DoNotOptimize(pipeline.process(replay.next()));
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PipelinePerFrameMetrics);
-
-// Instrumented scalar path, registered under a "scalar." prefix in the
-// same registry: BENCH_perf_stages.json then carries both paths' stage
-// histograms side by side (stage.* vs scalar.stage.*) for the per-stage
-// before/after table in the README.
-void BM_PipelinePerFrameScalarMetrics(benchmark::State& state) {
-    const auto& s = session();
-    core::PipelineConfig config = pinned(core::DspPath::kScalar);
-    config.metrics_prefix = "scalar.";
-    core::BlinkRadarPipeline pipeline(s.radar, config, &bench_registry());
-    FrameReplayer replay(s);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(pipeline.process(replay.next()));
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PipelinePerFrameScalarMetrics);
 
 // Same workload with the flight recorder attached at default ring
 // depths; the delta versus BM_PipelinePerFrameSimd is the black-box
@@ -151,8 +113,8 @@ void BM_PipelinePerFrameRecorder(benchmark::State& state) {
     const auto& s = session();
     static obs::FlightRecorder recorder;
     recorder.clear();
-    core::BlinkRadarPipeline pipeline(s.radar, pinned(core::DspPath::kSimd),
-                                      nullptr, nullptr, &recorder);
+    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, nullptr,
+                                      &recorder);
     FrameReplayer replay(s);
     for (auto _ : state)
         benchmark::DoNotOptimize(pipeline.process(replay.next()));

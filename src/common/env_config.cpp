@@ -18,7 +18,6 @@ std::string env_or_empty(const char* name) {
 
 ProcessConfig resolve_from_environment() {
     ProcessConfig config;
-    config.dsp_path = env_or_empty("BLINKRADAR_DSP_PATH");
     config.simd_backend = env_or_empty("BLINKRADAR_SIMD_BACKEND");
     config.threads = env_or_empty("BLINKRADAR_THREADS");
     config.trace_path = env_or_empty("BLINKRADAR_TRACE");

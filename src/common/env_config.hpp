@@ -1,8 +1,7 @@
 // Process-wide configuration resolved from the environment exactly once.
 //
 // Several components historically called std::getenv at construction
-// time (the DSP-path default, the SIMD backend pick, the shared pool
-// size, the trace gate). Per-construction getenv is a latent data race:
+// time (the SIMD backend pick, the shared pool size, the trace gate). Per-construction getenv is a latent data race:
 // POSIX setenv/getenv are unsynchronized, so any runtime setenv — a test
 // harness, an embedding host configuring itself — races with a pipeline
 // being constructed on another thread, and two sessions constructed
@@ -27,11 +26,8 @@ namespace blinkradar {
 /// consumers own the parsing so resolution errors degrade exactly as
 /// the old per-call getenv paths did.
 struct ProcessConfig {
-    /// BLINKRADAR_DSP_PATH ("scalar" | "simd"): default frame path for
-    /// pipelines constructed with DspPath::kAuto.
-    std::string dsp_path;
     /// BLINKRADAR_SIMD_BACKEND ("scalar" | "avx2" | "neon"): kernel
-    /// table override for the SoA path. "scalar" also forces the
+    /// table override for the frame path. "scalar" also forces the
     /// portable slice-by-8 backend of state::crc32.
     std::string simd_backend;
     /// BLINKRADAR_THREADS: shared thread-pool size override (unparsed;

@@ -30,8 +30,8 @@ public:
     /// Structure-of-arrays variant: identical judgement logic with the
     /// difference energy computed by `kernels`. The kernel's fixed-stripe
     /// reduction order differs from push()'s single accumulator, so the
-    /// two variants agree only to rounding — a pipeline must stick to one
-    /// (see core::DspPath).
+    /// two variants agree only to rounding. The pipeline runs this one;
+    /// push() remains as the reference the kernel tests compare against.
     bool push_soa(const dsp::IqPlanes& frame,
                   const dsp::KernelTable& kernels);
 

@@ -2,10 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <string_view>
 
 #include "common/contracts.hpp"
-#include "common/env_config.hpp"
 #include "obs/stage_timer.hpp"
 
 namespace blinkradar::core {
@@ -84,9 +82,8 @@ BlinkRadarPipeline::Instrumentation::Instrumentation(
         external != nullptr ? *external : *owned_registry;
     // One-time registration (and clock calibration): the frame path
     // after this touches only the returned handles. Every name carries
-    // the caller's prefix so two instrumented pipelines (e.g. the scalar
-    // and SIMD frame paths benched side by side) can share a registry
-    // without colliding.
+    // the caller's prefix so two instrumented pipelines (e.g. two fleet
+    // sessions) can share a registry without colliding.
     obs::detail::calibrate_clock();
     for (std::size_t s = 0; s < kNumPipelineStages; ++s)
         stage[s] = &registry.histogram(
@@ -127,24 +124,6 @@ BlinkRadarPipeline::Instrumentation::Instrumentation(
     trace_line.reserve(512);
 }
 
-namespace {
-
-/// Resolve DspPath::kAuto at construction time: the one-time process
-/// snapshot of BLINKRADAR_DSP_PATH (scalar | simd) decides, defaulting
-/// to the SIMD path. Explicit config values always win (the env hook
-/// exists so CI can drive the whole test suite down either path without
-/// code changes). Reading the snapshot — never the live environment —
-/// keeps concurrently constructed sessions on one consistent path.
-DspPath resolve_dsp_path(DspPath requested) {
-    if (requested != DspPath::kAuto) return requested;
-    const std::string_view v = process_config().dsp_path;
-    if (v == "scalar") return DspPath::kScalar;
-    if (v == "simd") return DspPath::kSimd;
-    return DspPath::kSimd;
-}
-
-}  // namespace
-
 BlinkRadarPipeline::BlinkRadarPipeline(const radar::RadarConfig& radar,
                                        PipelineConfig config,
                                        obs::MetricsRegistry* metrics,
@@ -164,15 +143,13 @@ BlinkRadarPipeline::BlinkRadarPipeline(const radar::RadarConfig& radar,
     BR_EXPECTS(config.fit_window_frames >= 8);
     BR_EXPECTS(config.update_interval_frames >= 1);
     BR_EXPECTS(config.reselect_interval_frames >= 1);
-    BR_EXPECTS(config.full_reselect_stride >= 1);
 
     // Size every bounded window and scratch buffer once, so the steady
     // 40 ms frame path performs zero heap allocations (the per-frame
-    // vectors in window_ acquire their capacity on first fill and keep it
-    // as slots are recycled).
+    // planes in window_soa_ acquire their capacity on first fill and keep
+    // it as slots are recycled).
     const std::size_t max_window =
         std::max(config_.fit_window_frames, config_.cold_start_frames);
-    window_.reset_capacity(max_window);
     window_soa_.reset_capacity(max_window);
     window_times_.reset_capacity(max_window);
     rolling_window_frames_ =
@@ -180,7 +157,6 @@ BlinkRadarPipeline::BlinkRadarPipeline(const radar::RadarConfig& radar,
     rolling_var_.reset(radar_.n_bins());
     wave_history_.reset_capacity(std::max<std::size_t>(
         16, static_cast<std::size_t>(4.0 * radar_.frame_rate_hz())));
-    view_scratch_.reserve(max_window);
     view_soa_scratch_.reserve(max_window);
     select_scratch_.in_range.reserve(radar_.n_bins());
     select_scratch_.candidates.reserve(radar_.n_bins());
@@ -188,13 +164,7 @@ BlinkRadarPipeline::BlinkRadarPipeline(const radar::RadarConfig& radar,
     var_scratch_.reserve(radar_.n_bins());
     column_scratch_.reserve(max_window);
     blinks_.reserve(256);
-
-    // Resolve the frame path once and record the decision back into the
-    // config so snapshots fingerprint the *resolved* path (a replay of a
-    // kAuto run must not re-resolve differently on another host).
-    path_ = resolve_dsp_path(config_.dsp_path);
-    config_.dsp_path = path_;
-    if (path_ == DspPath::kSimd) kernels_ = &dsp::active_kernels();
+    kernels_ = &dsp::active_kernels();
 
     // Observability attaches last: all registration (and the one-time
     // clock calibration) happens here, never on the frame path. A trace
@@ -211,7 +181,6 @@ void BlinkRadarPipeline::reset_detection_state() {
     background_.reset();
     movement_.reset();
     levd_.reset();
-    window_.clear();
     window_soa_.clear();
     window_times_.clear();
     rolling_var_.clear();
@@ -220,7 +189,6 @@ void BlinkRadarPipeline::reset_detection_state() {
     frames_since_start_ = 0;
     frames_since_fit_ = 0;
     frames_since_reselect_ = 0;
-    reselects_since_full_ = 0;
     phase_wave_.reset();
     wave_history_.clear();
     theta_unwrapped_ = 0.0;
@@ -240,8 +208,8 @@ void BlinkRadarPipeline::refit_viewing() {
     if (instr_) instr_->refits->inc();
     dsp::ComplexSignal& column = column_scratch_;
     column.clear();
-    for (std::size_t i = 0; i < window_size(); ++i)
-        column.push_back(window_sample(i, *selected_bin_));
+    for (std::size_t i = 0; i < window_soa_.size(); ++i)
+        column.push_back(window_soa_[i].at(*selected_bin_));
     const ViewingPosition fit =
         ViewingPosition::fit_trimmed(column, config_.fit_method);
     // Keep the previous viewing position if the new fit degenerated
@@ -279,71 +247,30 @@ bool BlinkRadarPipeline::reselect_bin() {
     // per-bin variances come from the rolling tracker, which covers
     // exactly these `take` frames by construction.
     const std::size_t take =
-        std::min(window_size(), config_.selection_window_frames);
+        std::min(window_soa_.size(), config_.selection_window_frames);
     BR_ASSERT(rolling_var_.count() == take);
-    std::optional<BinSelection> sel;
-    if (path_ == DspPath::kSimd) {
-        view_soa_scratch_.clear();
-        for (std::size_t i = window_soa_.size() - take;
-             i < window_soa_.size(); ++i)
-            view_soa_scratch_.push_back(&window_soa_[i]);
-        const SoaWindowView view(view_soa_scratch_);
-        // Steady-state reselects mostly run a cheap keep-check: once a
-        // bin is tracked *and* the slow-time window has completely
-        // filled since the last (re)start (early picks come from short,
-        // noisy windows and deserve prompt full re-scans), re-score
-        // just the tracked bin. While it still traces a clean arc a
-        // challenger would need a 2x-better score to displace it, and
-        // challengers are only ever admitted by the full
-        // descending-variance scan — which still runs every
-        // full_reselect_stride-th pass, and immediately whenever the
-        // keep-check fails (the tracked bin degraded). The local pass
-        // can therefore only conclude "keep", never switch, so every
-        // switch stays behind the fully gated scan.
-        if (selected_bin_ && window_soa_.size() == window_soa_.capacity() &&
-            reselects_since_full_ + 1 < config_.full_reselect_stride) {
-            ++reselects_since_full_;
-            if (selector_.score_bin_soa(view, *selected_bin_,
-                                        select_scratch_.column))
-                return false;  // still arc-like: keep it
-        }
-        reselects_since_full_ = 0;
-        {
-            const obs::StageTimer k(
-                instr_ ? instr_->kernels.variance_scan : nullptr);
-            rolling_var_.variances_into(var_scratch_, *kernels_);
-        }
-        sel = selector_.select_soa(view, var_scratch_, select_scratch_);
-        if (!sel) return false;  // nothing arc-like: keep what we have
-        if (selected_bin_ && *selected_bin_ == sel->bin) return false;
-        if (selected_bin_) {
-            // Hysteresis: only hop if the challenger clearly beats the
-            // currently tracked bin under the same window.
-            const std::optional<BinSelection> current =
-                selector_.score_bin_soa(view, *selected_bin_,
-                                        select_scratch_.column);
-            if (current &&
-                sel->score < config_.reselect_hysteresis * current->score)
-                return false;
-        }
-    } else {
-        view_scratch_.clear();
-        for (std::size_t i = window_.size() - take; i < window_.size(); ++i)
-            view_scratch_.push_back(&window_[i]);
-        const FrameWindowView view(view_scratch_);
-        rolling_var_.variances_into(var_scratch_);
-        sel = selector_.select(view, var_scratch_);
-        if (!sel) return false;  // nothing arc-like: keep what we have
-        if (selected_bin_ && *selected_bin_ == sel->bin) return false;
-        if (selected_bin_) {
-            // Hysteresis: only hop if the challenger clearly beats the
-            // currently tracked bin under the same window.
-            const std::optional<BinSelection> current =
-                selector_.score_bin(view, *selected_bin_);
-            if (current &&
-                sel->score < config_.reselect_hysteresis * current->score)
-                return false;
-        }
+    view_soa_scratch_.clear();
+    for (std::size_t i = window_soa_.size() - take; i < window_soa_.size();
+         ++i)
+        view_soa_scratch_.push_back(&window_soa_[i]);
+    const SoaWindowView view(view_soa_scratch_);
+    {
+        const obs::StageTimer k(
+            instr_ ? instr_->kernels.variance_scan : nullptr);
+        rolling_var_.variances_into(var_scratch_, *kernels_);
+    }
+    const std::optional<BinSelection> sel =
+        selector_.select_soa(view, var_scratch_, select_scratch_);
+    if (!sel) return false;  // nothing arc-like: keep what we have
+    if (selected_bin_ && *selected_bin_ == sel->bin) return false;
+    if (selected_bin_) {
+        // Hysteresis: only hop if the challenger clearly beats the
+        // currently tracked bin under the same window.
+        const std::optional<BinSelection> current = selector_.score_bin_soa(
+            view, *selected_bin_, select_scratch_.column);
+        if (current &&
+            sel->score < config_.reselect_hysteresis * current->score)
+            return false;
     }
     selected_bin_ = sel->bin;
     if (instr_) instr_->reselect_switches->inc();  // reselection churn
@@ -453,20 +380,15 @@ FrameResult BlinkRadarPipeline::process_validated(
     const radar::RadarFrame& frame) {
     BR_ASSERT(frame.bins.size() == radar_.n_bins());
     FrameResult result;
-    const bool simd = path_ == DspPath::kSimd;
     // Per-kernel sub-stage timers, duty-cycled with the stage timers.
     const obs::KernelTimers* kt =
-        (simd && instr_ && instr_->detailed_frame) ? &instr_->kernels
-                                                   : nullptr;
+        (instr_ && instr_->detailed_frame) ? &instr_->kernels : nullptr;
 
     // 1. Noise reduction (into per-pipeline scratch: no allocation).
     {
         const obs::StageTimer timer(stage_hist(PipelineStage::kPreprocess),
                                     stage_ns(PipelineStage::kPreprocess));
-        if (simd)
-            preprocessor_.apply_soa(frame, pre_planes_, kt);
-        else
-            preprocessor_.apply_into(frame, pre_frame_);
+        preprocessor_.apply_soa(frame, pre_planes_, kt);
     }
 
     // 2. Significant body movement => restart the whole detection process.
@@ -474,12 +396,8 @@ FrameResult BlinkRadarPipeline::process_validated(
     {
         const obs::StageTimer timer(stage_hist(PipelineStage::kMovement),
                                     stage_ns(PipelineStage::kMovement));
-        if (simd) {
-            const obs::StageTimer k(kt ? kt->movement_energy : nullptr);
-            moved = movement_.push_soa(pre_planes_, *kernels_);
-        } else {
-            moved = movement_.push(pre_frame_.bins);
-        }
+        const obs::StageTimer k(kt ? kt->movement_energy : nullptr);
+        moved = movement_.push_soa(pre_planes_, *kernels_);
     }
     if (moved) {
         restart();
@@ -496,40 +414,30 @@ FrameResult BlinkRadarPipeline::process_validated(
     {
         const obs::StageTimer timer(stage_hist(PipelineStage::kBackground),
                                     stage_ns(PipelineStage::kBackground));
-        if (simd) {
-            // Fused kernel: evict + subtract + variance-push + background
-            // adapt in one pass over the bins. The evicted frame may be
-            // the very ring slot being recycled as the output, so its
-            // pointers are captured before emplace_slot() and the kernel
-            // loads them before storing (see background_var_fused).
-            const obs::StageTimer k(kt ? kt->background_fused : nullptr);
-            const std::size_t n = radar_.n_bins();
-            const dsp::IqPlanes* evict = nullptr;
-            if (rolling_var_.count() == rolling_window_frames_) {
-                evict = &window_soa_[window_soa_.size() -
-                                     rolling_window_frames_];
-                rolling_var_.note_evict();
-            }
-            const double* old_i = evict ? evict->i.data() : nullptr;
-            const double* old_q = evict ? evict->q.data() : nullptr;
-            dsp::IqPlanes& sub = window_soa_.emplace_slot();
-            sub.resize(n);
-            background_.begin_soa_frame(pre_planes_);
-            kernels_->background_var_fused(
-                pre_planes_.i.data(), pre_planes_.q.data(), n,
-                config_.background_alpha, background_.bg_i().data(),
-                background_.bg_q().data(), sub.i.data(), sub.q.data(),
-                old_i, old_q, rolling_var_.sum_i_data(),
-                rolling_var_.sum_q_data(), rolling_var_.sum_sq_data());
-            rolling_var_.note_push();
-        } else {
-            if (rolling_var_.count() == rolling_window_frames_)
-                rolling_var_.evict(
-                    window_[window_.size() - rolling_window_frames_]);
-            dsp::ComplexSignal& sub = window_.emplace_slot();
-            background_.process_into(pre_frame_.bins, sub);
-            rolling_var_.push(sub);
+        // Fused kernel: evict + subtract + variance-push + background
+        // adapt in one pass over the bins. The evicted frame may be the
+        // very ring slot being recycled as the output, so its pointers
+        // are captured before emplace_slot() and the kernel loads them
+        // before storing (see background_var_fused).
+        const obs::StageTimer k(kt ? kt->background_fused : nullptr);
+        const std::size_t n = radar_.n_bins();
+        const dsp::IqPlanes* evict = nullptr;
+        if (rolling_var_.count() == rolling_window_frames_) {
+            evict = &window_soa_[window_soa_.size() - rolling_window_frames_];
+            rolling_var_.note_evict();
         }
+        const double* old_i = evict ? evict->i.data() : nullptr;
+        const double* old_q = evict ? evict->q.data() : nullptr;
+        dsp::IqPlanes& sub = window_soa_.emplace_slot();
+        sub.resize(n);
+        background_.begin_soa_frame(pre_planes_);
+        kernels_->background_var_fused(
+            pre_planes_.i.data(), pre_planes_.q.data(), n,
+            config_.background_alpha, background_.bg_i().data(),
+            background_.bg_q().data(), sub.i.data(), sub.q.data(), old_i,
+            old_q, rolling_var_.sum_i_data(), rolling_var_.sum_q_data(),
+            rolling_var_.sum_sq_data());
+        rolling_var_.note_push();
         window_times_.push_back(frame.timestamp_s);
     }
     // Decimated full-profile tap (outside the stage span: it is recorder
@@ -537,21 +445,16 @@ FrameResult BlinkRadarPipeline::process_validated(
     // frame wins — a bridged gap replays several synthetic frames
     // through here for one sensor frame, and the tap captures the first.
     if (recorder_ != nullptr && recorder_->profiles_due()) {
-        if (simd) {
-            // Rare (decimated) tap: interleave the SoA planes into the
-            // recorder's AoS wire format via reused scratch.
-            const dsp::IqPlanes& sub = window_soa_.back();
-            tap_pre_scratch_.resize(pre_planes_.size());
-            tap_sub_scratch_.resize(sub.size());
-            kernels_->interleave(pre_planes_.i.data(), pre_planes_.q.data(),
-                                 pre_planes_.size(),
-                                 tap_pre_scratch_.data());
-            kernels_->interleave(sub.i.data(), sub.q.data(), sub.size(),
-                                 tap_sub_scratch_.data());
-            recorder_->tap_profiles(tap_pre_scratch_, tap_sub_scratch_);
-        } else {
-            recorder_->tap_profiles(pre_frame_.bins, window_.back());
-        }
+        // Rare (decimated) tap: interleave the SoA planes into the
+        // recorder's AoS wire format via reused scratch.
+        const dsp::IqPlanes& sub = window_soa_.back();
+        tap_pre_scratch_.resize(pre_planes_.size());
+        tap_sub_scratch_.resize(sub.size());
+        kernels_->interleave(pre_planes_.i.data(), pre_planes_.q.data(),
+                             pre_planes_.size(), tap_pre_scratch_.data());
+        kernels_->interleave(sub.i.data(), sub.q.data(), sub.size(),
+                             tap_sub_scratch_.data());
+        recorder_->tap_profiles(tap_pre_scratch_, tap_sub_scratch_);
     }
     ++frames_since_start_;
 
@@ -580,11 +483,11 @@ FrameResult BlinkRadarPipeline::process_validated(
         if (config_.waveform_mode == WaveformMode::kArcDistance) {
             const obs::StageTimer timer(stage_hist(PipelineStage::kLevd),
                                         stage_ns(PipelineStage::kLevd));
-            for (std::size_t i = 0; i + 1 < window_size(); ++i) {
+            for (std::size_t i = 0; i + 1 < window_soa_.size(); ++i) {
                 levd_.warm_up(window_times_[i],
                               compensated_distance(
                                   window_times_[i],
-                                  window_sample(i, *selected_bin_)));
+                                  window_soa_[i].at(*selected_bin_)));
             }
         }
     }
@@ -615,8 +518,7 @@ FrameResult BlinkRadarPipeline::process_validated(
     // 6. Relative-distance waveform and LEVD. (compensated_distance also
     // maintains the d/theta history the motion-artifact veto inspects;
     // with motion_compensation off it returns the raw distance.)
-    const dsp::Complex sample =
-        window_sample(window_size() - 1, *selected_bin_);
+    const dsp::Complex sample = window_soa_.back().at(*selected_bin_);
     double d = 0.0;
     {
         const obs::StageTimer timer(stage_hist(PipelineStage::kWaveform),
@@ -874,8 +776,8 @@ void BlinkRadarPipeline::record_frame(std::uint64_t seq,
     tap.has_blink = result.blink.has_value();
     tap.selected_bin =
         selected_bin_ ? static_cast<std::int64_t>(*selected_bin_) : -1;
-    if (selected_bin_ && window_size() > 0)
-        tap.bin_iq = window_sample(window_size() - 1, *selected_bin_);
+    if (selected_bin_ && !window_soa_.empty())
+        tap.bin_iq = window_soa_.back().at(*selected_bin_);
     if (viewing_) {
         const dsp::CircleFit& fit = viewing_->raw_fit();
         tap.fit_cx = fit.center_x;
@@ -947,44 +849,33 @@ void BlinkRadarPipeline::record_frame(std::uint64_t seq,
 
 namespace {
 constexpr std::uint32_t kPipelineTag = state::make_tag("PIPE");
-// v2: the resolved DspPath joined the fingerprint (the scalar and SIMD
-// frame paths produce deliberately different — both correct — results,
-// so a snapshot only replays bit-exactly on the path that produced it).
+// v2 added a frame-path byte to the fingerprint, from the time the
+// pipeline also ran a legacy scalar frame path with numerically
+// different results (v1 sections and path byte 0 come from it). Only
+// the SoA frame path remains; its tag keeps the layout byte-identical,
+// so snapshots written before the scalar path was retired still restore.
 constexpr std::uint16_t kPipelineVersion = 2;
-
-const char* to_string(DspPath path) noexcept {
-    switch (path) {
-        case DspPath::kScalar: return "scalar";
-        case DspPath::kSimd: return "simd";
-        case DspPath::kAuto: return "auto";
-    }
-    return "?";
-}
+constexpr std::uint8_t kSoaPathTag = 1;
 }  // namespace
 
 void BlinkRadarPipeline::save_state(state::StateWriter& writer) const {
     writer.begin_section(kPipelineTag, kPipelineVersion);
 
     // Configuration fingerprint: a snapshot only makes sense restored
-    // into a pipeline with the same geometry, waveform semantics and
-    // frame path. path_ is always resolved (never kAuto) by the ctor.
+    // into a pipeline with the same geometry and waveform semantics. The
+    // frame-path byte is always the SoA tag (see kSoaPathTag).
     writer.write_size(radar_.n_bins());
     writer.write_f64(radar_.frame_rate_hz());
     writer.write_u8(static_cast<std::uint8_t>(config_.waveform_mode));
-    writer.write_u8(static_cast<std::uint8_t>(path_));
+    writer.write_u8(kSoaPathTag);
 
     // Sliding windows, oldest first (the ring's physical head position
     // is unobservable, so logical order is the canonical form). The SoA
-    // window interleaves through write_complex_planes, so the wire bytes
-    // are identical to the scalar window's.
-    writer.write_size(window_size());
-    if (path_ == DspPath::kSimd) {
-        for (std::size_t i = 0; i < window_soa_.size(); ++i)
-            writer.write_complex_planes(window_soa_[i].i, window_soa_[i].q);
-    } else {
-        for (std::size_t i = 0; i < window_.size(); ++i)
-            writer.write_complex_span(window_[i]);
-    }
+    // window interleaves through write_complex_planes, so the wire
+    // format is the plain complex-span one.
+    writer.write_size(window_soa_.size());
+    for (std::size_t i = 0; i < window_soa_.size(); ++i)
+        writer.write_complex_planes(window_soa_[i].i, window_soa_[i].q);
     writer.write_size(window_times_.size());
     for (std::size_t i = 0; i < window_times_.size(); ++i)
         writer.write_f64(window_times_[i]);
@@ -1025,7 +916,9 @@ void BlinkRadarPipeline::save_state(state::StateWriter& writer) const {
     writer.write_size(frames_since_start_);
     writer.write_size(frames_since_fit_);
     writer.write_size(frames_since_reselect_);
-    writer.write_size(reselects_since_full_);
+    // Retired keep-check reselect counter, always 0 at the only cadence
+    // that remains; the slot keeps the PIPE v2 layout byte-identical.
+    writer.write_size(0);
     writer.write_size(restarts_);
     writer.end_section();
 
@@ -1048,6 +941,10 @@ void BlinkRadarPipeline::restore_state(state::StateReader& reader) {
             "PIPE: snapshot section version " + std::to_string(version) +
             " is newer than this build supports (" +
             std::to_string(kPipelineVersion) + ")");
+    if (version < 2)
+        throw state::SnapshotError(
+            "PIPE: v1 snapshot sections were written by the retired scalar "
+            "frame path, which this build no longer runs");
 
     const std::size_t snap_bins = reader.read_size();
     const double snap_rate = reader.read_f64();
@@ -1068,42 +965,28 @@ void BlinkRadarPipeline::restore_state(state::StateReader& reader) {
             " does not match the configured mode " +
             std::to_string(
                 static_cast<std::uint8_t>(config_.waveform_mode)));
-    // v1 snapshots predate the SIMD path and were always scalar.
-    const DspPath snap_path =
-        version >= 2 ? static_cast<DspPath>(reader.read_u8())
-                     : DspPath::kScalar;
-    if (snap_path != path_)
+    const std::uint8_t snap_path = reader.read_u8();
+    if (snap_path != kSoaPathTag)
         throw state::SnapshotError(
-            std::string("PIPE: snapshot was taken on the ") +
-            to_string(snap_path) +
-            " frame path but this pipeline resolved the " +
-            to_string(path_) +
-            " path; the paths diverge numerically, so replay requires the"
-            " original (set PipelineConfig::dsp_path explicitly)");
+            "PIPE: snapshot frame-path byte " + std::to_string(snap_path) +
+            " is not the SoA path (" + std::to_string(kSoaPathTag) +
+            "); snapshots of the retired scalar frame path cannot be "
+            "restored");
 
     const std::size_t n_frames = reader.read_size();
-    if (n_frames > window_.capacity())
+    if (n_frames > window_soa_.capacity())
         throw state::SnapshotError(
             "PIPE: snapshot window holds " + std::to_string(n_frames) +
             " frames but this pipeline's window capacity is " +
-            std::to_string(window_.capacity()));
-    window_.clear();
+            std::to_string(window_soa_.capacity()));
     window_soa_.clear();
     for (std::size_t i = 0; i < n_frames; ++i) {
-        std::size_t got = 0;
-        if (path_ == DspPath::kSimd) {
-            dsp::IqPlanes& slot = window_soa_.emplace_slot();
-            reader.read_complex_planes_into(slot.i, slot.q);
-            got = slot.size();
-        } else {
-            dsp::ComplexSignal& slot = window_.emplace_slot();
-            reader.read_complex_into(slot);
-            got = slot.size();
-        }
-        if (got != radar_.n_bins())
+        dsp::IqPlanes& slot = window_soa_.emplace_slot();
+        reader.read_complex_planes_into(slot.i, slot.q);
+        if (slot.size() != radar_.n_bins())
             throw state::SnapshotError(
                 "PIPE: snapshot window frame " + std::to_string(i) +
-                " holds " + std::to_string(got) +
+                " holds " + std::to_string(slot.size()) +
                 " bins, expected " + std::to_string(radar_.n_bins()));
     }
     const std::size_t n_times = reader.read_size();
@@ -1172,9 +1055,7 @@ void BlinkRadarPipeline::restore_state(state::StateReader& reader) {
     frames_since_start_ = reader.read_size();
     frames_since_fit_ = reader.read_size();
     frames_since_reselect_ = reader.read_size();
-    // v1 snapshots are scalar-path (checked above), which never runs
-    // local reselects, so 0 is exact rather than an approximation.
-    reselects_since_full_ = version >= 2 ? reader.read_size() : 0;
+    reader.read_size();  // retired keep-check counter (see save_state)
     restarts_ = reader.read_size();
     reader.close_section();
 

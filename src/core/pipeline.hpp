@@ -175,10 +175,6 @@ public:
     const PipelineConfig& config() const noexcept { return config_; }
     const radar::RadarConfig& radar_config() const noexcept { return radar_; }
 
-    /// The frame path this pipeline resolved at construction (never
-    /// DspPath::kAuto — see PipelineConfig::dsp_path).
-    DspPath dsp_path() const noexcept { return path_; }
-
     /// Serialize the complete detection state — the pipeline's own
     /// section ("PIPE") followed by one section per stateful stage — so
     /// that restoring into a freshly constructed pipeline (same configs)
@@ -308,43 +304,26 @@ private:
     /// that component (see pipeline.cpp for the physics).
     double compensated_distance(Seconds t, dsp::Complex sample);
 
-    RingBuffer<dsp::ComplexSignal> window_;  ///< recent subtracted frames
-                                             ///< (scalar path)
-    RingBuffer<dsp::IqPlanes> window_soa_;   ///< same, SIMD path (SoA)
-    RingBuffer<Seconds> window_times_;       ///< their timestamps
+    RingBuffer<dsp::IqPlanes> window_soa_;  ///< recent subtracted frames
+    RingBuffer<Seconds> window_times_;      ///< their timestamps
 
-    /// Which of window_/window_soa_ the frame path fills (resolved from
-    /// config_.dsp_path at construction; never DspPath::kAuto here).
-    DspPath path_ = DspPath::kScalar;
-    /// Kernel table the SIMD path dispatches through (null on kScalar).
+    /// Kernel table the frame path dispatches through.
     const dsp::KernelTable* kernels_ = nullptr;
 
-    /// Read one subtracted-window sample regardless of frame path.
-    dsp::Complex window_sample(std::size_t i, std::size_t bin) const {
-        return path_ == DspPath::kSimd ? window_soa_[i].at(bin)
-                                       : window_[i][bin];
-    }
-    std::size_t window_size() const noexcept {
-        return path_ == DspPath::kSimd ? window_soa_.size()
-                                       : window_.size();
-    }
-
     /// Incremental per-bin variance over the last selection_window_frames
-    /// frames of window_, so periodic reselection reads variances in
+    /// frames of window_soa_, so periodic reselection reads variances in
     /// O(bins) instead of recomputing O(bins * window).
     RollingBinVariance rolling_var_;
     std::size_t rolling_window_frames_ = 0;  ///< its window length
 
     // Steady-state scratch (sized once; reused every frame/reselect).
-    radar::RadarFrame pre_frame_;                       ///< preprocessed frame
-    dsp::IqPlanes pre_planes_;                          ///< same, SIMD path
-    std::vector<const dsp::ComplexSignal*> view_scratch_;  ///< reselect view
-    std::vector<const dsp::IqPlanes*> view_soa_scratch_;   ///< SoA reselect
+    dsp::IqPlanes pre_planes_;                          ///< preprocessed frame
+    std::vector<const dsp::IqPlanes*> view_soa_scratch_;   ///< reselect view
     BinSelector::SelectScratch select_scratch_;         ///< select_soa scratch
     std::vector<double> var_scratch_;                   ///< rolling variances
     dsp::ComplexSignal column_scratch_;                 ///< refit column
-    dsp::ComplexSignal tap_pre_scratch_;   ///< recorder tap interleave (SoA)
-    dsp::ComplexSignal tap_sub_scratch_;   ///< recorder tap interleave (SoA)
+    dsp::ComplexSignal tap_pre_scratch_;   ///< recorder tap interleave
+    dsp::ComplexSignal tap_sub_scratch_;   ///< recorder tap interleave
 
     /// Recent (t, d, theta) triples for the motion-artifact veto.
     struct WaveSample {
@@ -363,9 +342,6 @@ private:
     std::size_t frames_since_start_ = 0;   ///< since last (re)start
     std::size_t frames_since_fit_ = 0;
     std::size_t frames_since_reselect_ = 0;
-    /// SoA path: local (neighbourhood-only) reselects since the last full
-    /// descending-variance scan (see PipelineConfig::full_reselect_stride).
-    std::size_t reselects_since_full_ = 0;
     std::size_t restarts_ = 0;
 
     PhaseWaveform phase_wave_;  ///< WaveformMode::kPhase accumulator

@@ -7,31 +7,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "common/units.hpp"
 #include "dsp/window.hpp"
 
 namespace blinkradar::core {
-
-/// Which per-frame DSP implementation the pipeline runs.
-///
-/// The two paths produce deliberately *different* (both correct) outputs:
-/// the SoA path fuses preprocess/background/variance into single-pass
-/// kernels with a fixed-stripe reduction order and caps the bin-selection
-/// candidate list, so its floating-point results diverge from the scalar
-/// reference after a few hundred frames. Each path is individually
-/// deterministic, and the resolved path is recorded in the PIPE snapshot
-/// fingerprint so resume/replay never silently mixes them. Within the SoA
-/// path the SIMD backend (scalar/AVX2/NEON, see dsp::active_kernels) is
-/// bit-irrelevant by construction.
-enum class DspPath : std::uint8_t {
-    kScalar = 0,  ///< legacy interleaved-complex reference path
-    kSimd = 1,    ///< structure-of-arrays fused/vectorized path
-    kAuto = 2,    ///< resolve at construction: env BLINKRADAR_DSP_PATH
-                  ///< ("scalar"/"simd") if set, else kSimd
-};
 
 /// How the range bin carrying the blink signal is chosen.
 enum class BinSelectionMode {
@@ -91,14 +72,7 @@ struct FrameGuardConfig {
 
 /// Pipeline configuration; defaults follow the paper.
 struct PipelineConfig {
-    // --- Frame DSP path ---
-    /// kAuto resolves at pipeline construction (explicit values win over
-    /// the BLINKRADAR_DSP_PATH environment override); the pipeline writes
-    /// the resolved value back into its config() copy so snapshots and
-    /// flight dumps always carry a concrete path.
-    DspPath dsp_path = DspPath::kAuto;
-
-    /// Prefix for every metric this pipeline registers (e.g. "scalar."),
+    /// Prefix for every metric this pipeline registers (e.g. "fleet.s3."),
     /// so two instrumented pipelines can share one MetricsRegistry.
     /// Observation-only: not serialized, no effect on results.
     std::string metrics_prefix{};
@@ -126,9 +100,8 @@ struct PipelineConfig {
     Meters selection_min_range_m = 0.10;  ///< exclude direct leakage
     Meters selection_max_range_m = 1.00;  ///< exclude far clutter
     double min_variance_factor = 5.0;     ///< significance over median bin
-    /// SoA-path selection cap: stop fitting once this many candidates
-    /// survived the arc gates (0 = uncapped; the scalar path is always
-    /// uncapped). See BinSelector::select_soa.
+    /// Selection cap: stop fitting once this many candidates survived
+    /// the arc gates (0 = uncapped). See BinSelector::select_soa.
     std::size_t top_candidates = 5;
     /// Slow-time frames per selection pass (the most recent ones).
     std::size_t selection_window_frames = 100;
@@ -149,17 +122,6 @@ struct PipelineConfig {
     /// Hysteresis for bin switching: a challenger must beat the current
     /// bin's arc score by this factor before the pipeline hops bins.
     double reselect_hysteresis = 2.0;
-    /// SoA-path steady-state reselect cadence: every Nth periodic
-    /// reselect runs the full descending-variance scan; the others only
-    /// re-score the tracked bin and keep it while it still traces a
-    /// clean arc (a failed keep-check falls through to a full scan, so
-    /// bin *switches* always go through the fully gated scan). Raising
-    /// this bounds the amortized reselect cost on constrained hosts at
-    /// the price of reacting up to N-1 reselect intervals late when a
-    /// better far bin appears; the reference configuration keeps every
-    /// pass full because that staleness measurably costs detection
-    /// accuracy. The scalar path always full-scans.
-    std::size_t full_reselect_stride = 1;
 
     // --- LEVD blink detection (Section IV-E) ---
     WaveformMode waveform_mode = WaveformMode::kArcDistance;

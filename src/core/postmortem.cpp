@@ -11,13 +11,35 @@ namespace blinkradar::core {
 namespace {
 
 constexpr std::uint32_t kTagConfigs = state::make_tag("FRCF");
+// v2 appended a frame-path byte, from the time the pipeline also ran a
+// legacy scalar frame path: 0 = scalar, 1 = SoA, 2 = "auto" (resolved to
+// SoA unless a process-wide override picked scalar). Dumps stored the
+// caller's unresolved config, so every default-config dump carries 2.
+// Only the SoA frame path remains. The byte is still written as 2, which
+// keeps dumps byte-identical to those recorded before the scalar path
+// was retired; 0 and v1 sections (only the scalar-only build wrote v1)
+// are rejected.
 constexpr std::uint16_t kConfigsVersion = 2;
+constexpr std::uint8_t kScalarPathByte = 0;
+constexpr std::uint8_t kAutoPathByte = 2;
 
 /// Bit-pattern double equality: replay verification must distinguish
 /// -0.0 from 0.0 and treat NaN == NaN (a repeated NaN is *correct*
 /// reproduction), which operator== gets wrong on both counts.
 bool bit_eq(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Read one enum byte, rejecting values past the enum's last
+/// enumerator: a corrupt byte must fail the decode, not replay as a
+/// configuration no build can produce.
+template <typename Enum>
+Enum read_enum(state::StateReader& reader, const char* field, Enum last) {
+    const std::uint8_t v = reader.read_u8();
+    if (v > static_cast<std::uint8_t>(last))
+        throw state::SnapshotError("FRCF: " + std::string(field) + " byte " +
+                                   std::to_string(v) + " is out of range");
+    return static_cast<Enum>(v);
 }
 
 }  // namespace
@@ -76,9 +98,7 @@ void save_flight_configs(state::StateWriter& writer,
     writer.write_f64(pipeline.guard.degraded_fault_rate);
     writer.write_u64(pipeline.guard.lost_after_quarantines);
 
-    // v2: the resolved DSP path, so replay rebuilds the pipeline on the
-    // same per-frame arithmetic that produced the recording.
-    writer.write_u8(static_cast<std::uint8_t>(pipeline.dsp_path));
+    writer.write_u8(kAutoPathByte);
 
     writer.end_section();
 }
@@ -90,6 +110,10 @@ FlightConfigs load_flight_configs(state::StateReader& reader) {
             "FRCF: dump section version " + std::to_string(version) +
             " is newer than this build supports (" +
             std::to_string(kConfigsVersion) + ")");
+    if (version < 2)
+        throw state::SnapshotError(
+            "FRCF: v1 dump sections were recorded by the retired scalar "
+            "frame path, which this build no longer runs");
     FlightConfigs c;
 
     c.radar.carrier_hz = reader.read_f64();
@@ -104,25 +128,28 @@ FlightConfigs load_flight_configs(state::StateReader& reader) {
     c.radar.phase_noise_rad = reader.read_f64();
 
     c.pipeline.fir_order = reader.read_size();
-    c.pipeline.fir_window = static_cast<dsp::WindowType>(reader.read_u8());
+    c.pipeline.fir_window =
+        read_enum(reader, "fir_window", dsp::WindowType::kBlackman);
     c.pipeline.fir_cutoff_norm = reader.read_f64();
     c.pipeline.smooth_window_bins = reader.read_size();
     c.pipeline.background_alpha = reader.read_f64();
     c.pipeline.selection_mode =
-        static_cast<BinSelectionMode>(reader.read_u8());
+        read_enum(reader, "selection_mode", BinSelectionMode::kMaxPower);
     c.pipeline.selection_min_range_m = reader.read_f64();
     c.pipeline.selection_max_range_m = reader.read_f64();
     c.pipeline.min_variance_factor = reader.read_f64();
     c.pipeline.top_candidates = reader.read_size();
     c.pipeline.selection_window_frames = reader.read_size();
-    c.pipeline.fit_method = static_cast<CircleFitMethod>(reader.read_u8());
+    c.pipeline.fit_method =
+        read_enum(reader, "fit_method", CircleFitMethod::kTaubin);
     c.pipeline.cold_start_frames = reader.read_size();
     c.pipeline.fit_window_frames = reader.read_size();
     c.pipeline.update_interval_frames = reader.read_size();
     c.pipeline.reselect_interval_frames = reader.read_size();
     c.pipeline.viewing_blend = reader.read_f64();
     c.pipeline.reselect_hysteresis = reader.read_f64();
-    c.pipeline.waveform_mode = static_cast<WaveformMode>(reader.read_u8());
+    c.pipeline.waveform_mode =
+        read_enum(reader, "waveform_mode", WaveformMode::kPhase);
     c.pipeline.threshold_sigma = reader.read_f64();
     c.pipeline.min_blink_s = reader.read_f64();
     c.pipeline.max_blink_s = reader.read_f64();
@@ -142,11 +169,14 @@ FlightConfigs load_flight_configs(state::StateReader& reader) {
     c.pipeline.guard.degraded_fault_rate = reader.read_f64();
     c.pipeline.guard.lost_after_quarantines = reader.read_size();
 
-    // v1 dumps predate the DSP-path choice; they were recorded by the
-    // scalar-only build.
-    c.pipeline.dsp_path =
-        version >= 2 ? static_cast<DspPath>(reader.read_u8())
-                     : DspPath::kScalar;
+    const std::uint8_t path = reader.read_u8();
+    if (path == kScalarPathByte)
+        throw state::SnapshotError(
+            "FRCF: dump was recorded on the retired scalar frame path, "
+            "which this build can no longer replay");
+    if (path > kAutoPathByte)
+        throw state::SnapshotError("FRCF: frame-path byte " +
+                                   std::to_string(path) + " is out of range");
 
     reader.close_section();
     return c;
@@ -295,7 +325,10 @@ ReplayReport replay_flight_dump(const DecodedDump& dump) {
             pipe = fresh_pipeline();
             report.from_cold = true;
         }
-    } catch (const state::SnapshotError& e) {
+    } catch (const std::exception& e) {
+        // A damaged checkpoint (SnapshotError) or configs that fail the
+        // pipeline's preconditions (ContractViolation): either way there
+        // is no base to replay from.
         report.note = std::string("replay base rejected: ") + e.what();
         return report;
     }

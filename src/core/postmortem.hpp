@@ -60,7 +60,8 @@ struct FlightConfigs {
 };
 
 /// Decode the "FRCF" section. Throws state::SnapshotError when missing,
-/// truncated, or newer than this reader.
+/// truncated, newer than this reader, holding an out-of-range enum byte,
+/// or recorded by the retired scalar frame path.
 FlightConfigs load_flight_configs(state::StateReader& reader);
 
 /// Assemble a complete dump container: "FRCF" followed by the recorder's
@@ -116,8 +117,9 @@ struct ReplayReport {
 /// restored from the co-dumped checkpoints, comparing each FrameResult
 /// bit-for-bit (doubles compared by bit pattern) against the recorded
 /// tap. Never throws for divergence — the report carries the verdict;
-/// state::SnapshotError from a damaged nested checkpoint is reported as
-/// ok = false with the error in `note`.
+/// state::SnapshotError from a damaged nested checkpoint, and configs
+/// the pipeline constructor rejects, are reported as ok = false with the
+/// error in `note`.
 ReplayReport replay_flight_dump(const DecodedDump& dump);
 
 }  // namespace blinkradar::core

@@ -14,9 +14,10 @@
 // layout (element j always lands in partial sum j mod 4, independent of
 // the vector width); the AVX2 FFT butterfly is lane-for-lane the scalar
 // butterfly. The backend choice (BLINKRADAR_SIMD_BACKEND) is therefore a
-// pure speed knob — only the pipeline-level *path* choice (scalar AoS
-// code vs these SoA kernels, see core::DspPath) changes results, because
-// the SoA path fuses stages and caps the bin-selection candidate list.
+// pure speed knob. The interleaved-complex component entry points these
+// kernels replace on the frame path (Preprocessor::apply_into,
+// MovementDetector::push, ...) agree with them only to rounding, because
+// the fused kernels reorder reductions; they remain as test references.
 #pragma once
 
 #include <cstddef>

@@ -1,17 +1,16 @@
-// The pipeline-level DSP path choice (core::DspPath): resolution of kAuto
-// (env override, default), snapshot/resume bit-exactness of the SoA path,
-// rejection of mixed-path restores via the PIPE fingerprint, wire-format
-// equality of the SoA snapshot serialization, and end-to-end agreement of
-// the two paths on detection outcomes.
+// The pipeline's one (structure-of-arrays) frame path: snapshot/resume
+// bit-exactness, rejection of snapshots and flight dumps written by the
+// retired scalar frame path (PIPE/FRCF v1, or frame-path byte 0), and
+// wire-format equality of the SoA snapshot serialization.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
-#include "common/env_config.hpp"
 #include "common/random.hpp"
 #include "core/pipeline.hpp"
+#include "core/postmortem.hpp"
 #include "physio/driver_profile.hpp"
 #include "sim/scenario.hpp"
 #include "state/snapshot.hpp"
@@ -61,86 +60,13 @@ std::vector<std::uint8_t> snapshot_of(const BlinkRadarPipeline& pipe) {
     return writer.finish();
 }
 
-/// RAII environment-variable override (tests run single-threaded).
-/// Production code reads the one-time process_config() snapshot, not
-/// getenv, so each change re-resolves the snapshot through the
-/// test-only reload hook.
-class ScopedEnv {
-public:
-    ScopedEnv(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_old_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-        reload_process_config_for_testing();
-    }
-    ~ScopedEnv() {
-        if (had_old_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-        reload_process_config_for_testing();
-    }
-
-private:
-    const char* name_;
-    bool had_old_ = false;
-    std::string old_;
-};
-
-TEST(DspPath, AutoResolvesToSimdByDefault) {
-    const ScopedEnv env("BLINKRADAR_DSP_PATH", nullptr);
-    const sim::SimulatedSession s =
-        simulate_session(reference_scenario(1, 1.0));
-    PipelineConfig config;  // dsp_path defaults to kAuto
-    const BlinkRadarPipeline pipe(s.radar, config);
-    EXPECT_EQ(pipe.dsp_path(), DspPath::kSimd);
-    // The resolved value is written back into the pipeline's config copy.
-    EXPECT_EQ(pipe.config().dsp_path, DspPath::kSimd);
-}
-
-TEST(DspPath, EnvOverridesAutoButNotExplicit) {
-    const sim::SimulatedSession s =
-        simulate_session(reference_scenario(1, 1.0));
-    {
-        const ScopedEnv env("BLINKRADAR_DSP_PATH", "scalar");
-        PipelineConfig config;
-        const BlinkRadarPipeline auto_pipe(s.radar, config);
-        EXPECT_EQ(auto_pipe.dsp_path(), DspPath::kScalar);
-
-        config.dsp_path = DspPath::kSimd;  // explicit beats env
-        const BlinkRadarPipeline explicit_pipe(s.radar, config);
-        EXPECT_EQ(explicit_pipe.dsp_path(), DspPath::kSimd);
-    }
-    {
-        const ScopedEnv env("BLINKRADAR_DSP_PATH", "simd");
-        PipelineConfig config;
-        const BlinkRadarPipeline pipe(s.radar, config);
-        EXPECT_EQ(pipe.dsp_path(), DspPath::kSimd);
-    }
-    {
-        // Unknown values fall through to the default.
-        const ScopedEnv env("BLINKRADAR_DSP_PATH", "quantum");
-        PipelineConfig config;
-        const BlinkRadarPipeline pipe(s.radar, config);
-        EXPECT_EQ(pipe.dsp_path(), DspPath::kSimd);
-    }
-}
-
-/// test_resume-style drill pinned to one explicit path: process [0,
-/// split), snapshot, restore into a fresh pipeline, replay the tail on
-/// both and require byte-identical results.
-void run_path_resume_drill(DspPath path, std::size_t split,
-                           std::size_t full_reselect_stride = 1) {
+/// test_resume-style drill: process [0, split), snapshot, restore into
+/// a fresh pipeline, replay the tail on both and require byte-identical
+/// results.
+void run_resume_drill(std::size_t split) {
     const sim::SimulatedSession s =
         simulate_session(reference_scenario(7, 30.0));
-    PipelineConfig config;
-    config.dsp_path = path;
-    config.full_reselect_stride = full_reselect_stride;
+    const PipelineConfig config;
     ASSERT_LT(split, s.frames.size());
 
     BlinkRadarPipeline original(s.radar, config);
@@ -167,67 +93,92 @@ TEST(DspPath, SimdSnapshotsRestoreBitIdentically) {
     // steady state (SoA window ring partially evicted).
     for (const std::size_t split : {20u, 70u, 600u}) {
         SCOPED_TRACE("split=" + std::to_string(split));
-        run_path_resume_drill(DspPath::kSimd, split);
+        run_resume_drill(split);
     }
 }
 
-TEST(DspPath, ScalarSnapshotsRestoreBitIdentically) {
-    run_path_resume_drill(DspPath::kScalar, 300);
-}
-
-TEST(DspPath, KeepCheckStrideResumesBitIdentically) {
-    // full_reselect_stride > 1 (the opt-in keep-check reselect cadence)
-    // makes the local/full phase part of pipeline state; a mid-cadence
-    // snapshot must resume on the same phase or replay diverges at the
-    // next reselect.
-    run_path_resume_drill(DspPath::kSimd, 640, 4);
-}
-
-TEST(DspPath, KeepCheckStrideStillDetects) {
-    const sim::SimulatedSession s =
-        simulate_session(reference_scenario(2, 30.0));
-    PipelineConfig config;
-    config.dsp_path = DspPath::kSimd;
-    config.full_reselect_stride = 4;
-    BlinkRadarPipeline pipe(s.radar, config);
-    for (const auto& frame : s.frames) pipe.process(frame);
-    ASSERT_TRUE(pipe.selected_bin().has_value());
-    EXPECT_FALSE(pipe.blinks().empty());
-}
-
-TEST(DspPath, MixedPathRestoreIsRejectedBothWays) {
-    const sim::SimulatedSession s =
-        simulate_session(reference_scenario(3, 10.0));
-    PipelineConfig scalar_config;
-    scalar_config.dsp_path = DspPath::kScalar;
-    PipelineConfig simd_config;
-    simd_config.dsp_path = DspPath::kSimd;
-
-    BlinkRadarPipeline scalar_pipe(s.radar, scalar_config);
-    BlinkRadarPipeline simd_pipe(s.radar, simd_config);
-    for (std::size_t i = 0; i < 100; ++i) {
-        scalar_pipe.process(s.frames[i]);
-        simd_pipe.process(s.frames[i]);
+/// Assert that `fn` throws a SnapshotError whose message names the
+/// retired scalar frame path.
+template <typename Fn>
+void expect_retired_scalar_rejection(Fn fn) {
+    try {
+        fn();
+        ADD_FAILURE() << "retired scalar-path bytes were accepted";
+    } catch (const state::SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find("scalar"), std::string::npos)
+            << e.what();
     }
-    const std::vector<std::uint8_t> scalar_bytes = snapshot_of(scalar_pipe);
-    const std::vector<std::uint8_t> simd_bytes = snapshot_of(simd_pipe);
+}
 
+TEST(DspPath, RetiredScalarPathSnapshotIsRejected) {
+    const radar::RadarConfig radar;
+    const std::uint32_t tag = state::make_tag("PIPE");
+    const auto restore = [&](const std::vector<std::uint8_t>& bytes) {
+        BlinkRadarPipeline target(radar);
+        state::StateReader reader(bytes);
+        target.restore_state(reader);
+    };
     {
-        BlinkRadarPipeline target(s.radar, simd_config);
-        state::StateReader reader(scalar_bytes);
-        EXPECT_THROW(target.restore_state(reader), state::SnapshotError);
+        // PIPE v2 fingerprint carrying the scalar frame-path byte (0).
+        state::StateWriter writer;
+        writer.begin_section(tag, 2);
+        writer.write_size(radar.n_bins());
+        writer.write_f64(radar.frame_rate_hz());
+        writer.write_u8(static_cast<std::uint8_t>(WaveformMode::kArcDistance));
+        writer.write_u8(0);
+        writer.end_section();
+        const std::vector<std::uint8_t> bytes = writer.finish();
+        expect_retired_scalar_rejection([&] { restore(bytes); });
     }
     {
-        BlinkRadarPipeline target(s.radar, scalar_config);
-        state::StateReader reader(simd_bytes);
-        EXPECT_THROW(target.restore_state(reader), state::SnapshotError);
+        // PIPE v1: only the scalar-only build ever wrote it.
+        state::StateWriter writer;
+        writer.begin_section(tag, 1);
+        writer.write_size(radar.n_bins());
+        writer.write_f64(radar.frame_rate_hz());
+        writer.write_u8(static_cast<std::uint8_t>(WaveformMode::kArcDistance));
+        writer.end_section();
+        const std::vector<std::uint8_t> bytes = writer.finish();
+        expect_retired_scalar_rejection([&] { restore(bytes); });
     }
-    // Matching paths still restore fine (the guard is the path byte, not
-    // some broader fingerprint drift).
+}
+
+TEST(DspPath, RetiredScalarPathDumpIsRejected) {
+    const radar::RadarConfig radar;
+    const auto load = [](const std::vector<std::uint8_t>& bytes) {
+        state::StateReader reader(bytes);
+        return load_flight_configs(reader);
+    };
     {
-        BlinkRadarPipeline target(s.radar, simd_config);
-        state::StateReader reader(simd_bytes);
-        EXPECT_NO_THROW(target.restore_state(reader));
+        // A real FRCF v2 section with its trailing frame-path byte (the
+        // last payload byte, just before the section CRC) rewritten and
+        // the CRC re-sealed, so only the byte differs. Earlier builds
+        // wrote 2 ("auto", resolved to SoA) or 1 (SoA): both decode.
+        state::StateWriter writer;
+        writer.defer_crcs();
+        save_flight_configs(writer, radar, PipelineConfig{});
+        const std::vector<std::uint8_t> written = writer.finish();
+        const std::size_t path_byte = written.size() - 5;
+        EXPECT_EQ(written[path_byte], 2);
+        const auto with_path = [&](std::uint8_t path) {
+            std::vector<std::uint8_t> bytes = written;
+            bytes[path_byte] = path;
+            state::seal_section_crcs(bytes);
+            return bytes;
+        };
+        EXPECT_NO_THROW(load(with_path(2)));
+        EXPECT_NO_THROW(load(with_path(1)));
+        expect_retired_scalar_rejection([&] { load(with_path(0)); });
+        EXPECT_THROW(load(with_path(3)), state::SnapshotError);
+    }
+    {
+        // FRCF v1: only the scalar-only build ever wrote it.
+        state::StateWriter writer;
+        writer.begin_section(state::make_tag("FRCF"), 1);
+        writer.write_f64(radar.carrier_hz);
+        writer.end_section();
+        const std::vector<std::uint8_t> bytes = writer.finish();
+        expect_retired_scalar_rejection([&] { load(bytes); });
     }
 }
 
@@ -265,34 +216,6 @@ TEST(DspPath, PlanesSerializationMatchesComplexSpanBytes) {
             EXPECT_EQ(im[j], im2[j]);
         }
     }
-}
-
-TEST(DspPath, PathsAgreeOnDetectionOutcomes) {
-    // The paths are deliberately not bit-identical (fused reduction order,
-    // capped selection), but on the reference scene they must tell the
-    // same story: same selected bin, blink counts within one event.
-    const sim::SimulatedSession s =
-        simulate_session(reference_scenario(2, 30.0));
-    PipelineConfig scalar_config;
-    scalar_config.dsp_path = DspPath::kScalar;
-    PipelineConfig simd_config;
-    simd_config.dsp_path = DspPath::kSimd;
-
-    BlinkRadarPipeline scalar_pipe(s.radar, scalar_config);
-    BlinkRadarPipeline simd_pipe(s.radar, simd_config);
-    for (const auto& frame : s.frames) {
-        scalar_pipe.process(frame);
-        simd_pipe.process(frame);
-    }
-    ASSERT_TRUE(scalar_pipe.selected_bin().has_value());
-    ASSERT_TRUE(simd_pipe.selected_bin().has_value());
-    EXPECT_EQ(*scalar_pipe.selected_bin(), *simd_pipe.selected_bin());
-    const auto diff =
-        static_cast<long long>(scalar_pipe.blinks().size()) -
-        static_cast<long long>(simd_pipe.blinks().size());
-    EXPECT_LE(std::abs(diff), 1)
-        << "scalar found " << scalar_pipe.blinks().size()
-        << " blinks, simd found " << simd_pipe.blinks().size();
 }
 
 }  // namespace

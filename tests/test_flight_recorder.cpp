@@ -294,6 +294,27 @@ TEST(FlightReplay, ReportsWhenNoBaseCoversTheRing) {
     EXPECT_EQ(report.frames_replayed, 0u);
 }
 
+TEST(FlightReplay, ConfigsThePipelineRejectsAreReportedNotThrown) {
+    // A dump whose configs fail the pipeline constructor's preconditions
+    // (the cold start must span at least 8 frames) has no replay base:
+    // the verdict belongs in the report, not in an escaping exception.
+    core::PipelineConfig bad;
+    bad.cold_start_frames = 4;
+    obs::FlightRecorder rec(small_config());
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+        rec.begin_frame(tiny_frame(i));
+        rec.end_frame(tiny_tap(i));
+    }
+    const core::DecodedDump dump = core::decode_dump(
+        core::make_flight_dump(rec, radar::RadarConfig{}, bad, "bad_cfg"));
+    core::ReplayReport report;
+    ASSERT_NO_THROW(report = core::replay_flight_dump(dump));
+    EXPECT_FALSE(report.ok);
+    EXPECT_NE(report.note.find("replay base rejected"), std::string::npos)
+        << report.note;
+    EXPECT_EQ(report.frames_replayed, 0u);
+}
+
 TEST(FlightReplay, SupervisorCrashDumpReplaysBitIdentically) {
     // The acceptance path: a supervised session with injected crashes
     // auto-dumps at each fault; the dump must replay every captured
@@ -384,6 +405,43 @@ TEST(FlightDumpCorruption, EverySingleByteFlipIsRejected) {
         EXPECT_THROW(core::decode_dump(bad), state::SnapshotError)
             << "byte " << i << " flipped without detection";
     }
+}
+
+TEST(FlightDumpCorruption, OutOfRangeEnumBytesAreRejected) {
+    // A well-formed, CRC-valid dump whose enum bytes name no enumerator
+    // must fail the decode rather than replay as an impossible config.
+    obs::FlightRecorder rec(small_config());
+    rec.begin_frame(tiny_frame(1));
+    rec.end_frame(tiny_tap(1));
+    const auto dump_with = [&](void (*corrupt)(core::PipelineConfig&)) {
+        core::PipelineConfig pipeline;
+        corrupt(pipeline);
+        return core::make_flight_dump(rec, radar::RadarConfig{}, pipeline,
+                                      "bad_enum");
+    };
+    EXPECT_THROW(core::decode_dump(dump_with([](core::PipelineConfig& p) {
+                     p.fir_window = static_cast<dsp::WindowType>(9);
+                 })),
+                 state::SnapshotError);
+    EXPECT_THROW(core::decode_dump(dump_with([](core::PipelineConfig& p) {
+                     p.selection_mode = static_cast<core::BinSelectionMode>(9);
+                 })),
+                 state::SnapshotError);
+    EXPECT_THROW(core::decode_dump(dump_with([](core::PipelineConfig& p) {
+                     p.fit_method = static_cast<core::CircleFitMethod>(9);
+                 })),
+                 state::SnapshotError);
+    EXPECT_THROW(core::decode_dump(dump_with([](core::PipelineConfig& p) {
+                     p.waveform_mode = static_cast<core::WaveformMode>(9);
+                 })),
+                 state::SnapshotError);
+    // The last enumerator of each is still accepted.
+    EXPECT_NO_THROW(core::decode_dump(dump_with([](core::PipelineConfig& p) {
+        p.fir_window = dsp::WindowType::kBlackman;
+        p.selection_mode = core::BinSelectionMode::kMaxPower;
+        p.fit_method = core::CircleFitMethod::kTaubin;
+        p.waveform_mode = core::WaveformMode::kPhase;
+    })));
 }
 
 TEST(FlightDumpCorruption, FuzzedMutationsNeverEscapeSnapshotError) {
