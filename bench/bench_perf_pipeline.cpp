@@ -124,7 +124,9 @@ BENCHMARK(BM_PipelinePerFrameRecorder);
 
 // Fleet-path telemetry overhead trio: one iteration feeds 256
 // concurrent sessions one frame each (one 25 fps fleet tick at the
-// capacity point bench_fleet gates on) and pumps the shard executor.
+// fleet size of fleetbench's churn_drain and live_impaired) and pumps
+// the shard executor. The trio is also the CI speed gate for the fleet
+// path and the telemetry plane (BENCH_perf.json).
 // Base runs bare; Metrics adds the per-session registries; Telemetry
 // adds the rest of the telemetry plane — the hierarchical aggregation
 // cycle plus both snapshot serialisations every 25 ticks (the ~1 Hz

@@ -6,7 +6,8 @@
 // cold restart when none exists), and the harness reports the blink-F1
 // loss versus the crash-free baseline plus the detection downtime per
 // crash. Writes BENCH_recovery.json (to argv[1], default the working
-// directory).
+// directory). Exits 1 when a session does not complete, a crash is not
+// recovered, or a point with a nonzero interval takes no snapshot.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -60,18 +61,24 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
 
+    // A checkpointed point that never took a snapshot only repeats the
+    // no-checkpoint control, so it fails the run like a lost crash does.
     bool all_complete = true;
     bool all_recovered = true;
+    bool all_snapshotted = true;
     for (const eval::RecoveryPoint& p : points) {
         all_complete &= p.completed_fraction == 1.0;
         all_recovered &= p.recovered_crashes == p.crashes;
+        all_snapshotted &= p.snapshot_interval_frames == 0 || p.snapshots > 0;
     }
-    std::printf("every session completed: %s; every crash recovered: %s\n",
-                all_complete ? "yes" : "NO", all_recovered ? "yes" : "NO");
+    std::printf("every session completed: %s; every crash recovered: %s; "
+                "every checkpointed point snapshotted: %s\n",
+                all_complete ? "yes" : "NO", all_recovered ? "yes" : "NO",
+                all_snapshotted ? "yes" : "NO");
 
     eval::write_recovery_json(out_path, points, baseline_f1, drill,
                               scenarios.size());
     std::printf("wrote %s (%zu points x %zu scenarios)\n", out_path.c_str(),
                 points.size(), scenarios.size());
-    return all_complete ? 0 : 1;
+    return all_complete && all_recovered && all_snapshotted ? 0 : 1;
 }

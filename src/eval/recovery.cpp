@@ -182,8 +182,8 @@ RecoveryPoint run_recovery_point(std::span<const sim::ScenarioConfig> scenarios,
 
 std::vector<std::size_t> default_recovery_intervals() {
     // 0 = no checkpoints (every crash cold-restarts), then 2 s / 10 s /
-    // 40 s cadences at the 25 Hz default frame rate.
-    return {0, 50, 250, 1000};
+    // 20 s cadences at the 25 Hz default frame rate.
+    return {0, 50, 250, 500};
 }
 
 std::vector<RecoveryPoint> run_recovery_sweep(

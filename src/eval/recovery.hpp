@@ -105,7 +105,7 @@ double run_recovery_baseline(std::span<const sim::ScenarioConfig> scenarios,
                              const core::PipelineConfig& pipeline = {});
 
 /// The default interval grid used by bench_recovery: no checkpoints,
-/// then 2 s / 10 s / 40 s cadences at the 25 Hz default frame rate.
+/// then 2 s / 10 s / 20 s cadences at the 25 Hz default frame rate.
 std::vector<std::size_t> default_recovery_intervals();
 
 std::vector<RecoveryPoint> run_recovery_sweep(

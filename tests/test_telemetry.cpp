@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -174,47 +175,63 @@ TEST(Aggregation, RollupMatchesSharedRegistryBitForBit) {
 }
 
 TEST(Aggregation, LaggardDetailIsBoundedAndRetiredAcrossCycles) {
-    obs::telemetry::AggregatorConfig cfg;
-    cfg.top_k_laggards = 2;
-    obs::telemetry::Aggregator agg(cfg);
+    // Two fleet sizes: the snapshot's node count must not grow with the
+    // fleet (base roll-up + K detail sets only).
+    std::vector<std::size_t> nodes;
+    for (const std::uint64_t n_sessions : {6u, 96u}) {
+        SCOPED_TRACE("sessions=" + std::to_string(n_sessions));
+        obs::telemetry::AggregatorConfig cfg;
+        cfg.top_k_laggards = 2;
+        obs::telemetry::Aggregator agg(cfg);
 
-    // Cycle 1: sessions 0..5; 3 and 5 have the largest frame_total.
-    agg.begin_cycle();
-    std::vector<obs::MetricsRegistry> sessions;
-    for (std::uint64_t id = 0; id < 6; ++id)
-        sessions.push_back(make_session_registry(
-            id, 10, id == 3 ? 9'000'000 : id == 5 ? 8'000'000 : 1000));
-    for (std::uint64_t id = 0; id < 6; ++id)
-        agg.add_session(id, sessions[id]);
-    const std::vector<std::uint64_t> laggards = agg.select_laggards();
-    ASSERT_EQ(laggards, (std::vector<std::uint64_t>{3, 5}));
-    for (const std::uint64_t id : laggards)
-        agg.add_laggard_detail(id, sessions[id]);
+        // Cycle 1: 3 and 5 have the largest frame_total.
+        agg.begin_cycle();
+        std::vector<obs::MetricsRegistry> sessions;
+        for (std::uint64_t id = 0; id < n_sessions; ++id)
+            sessions.push_back(make_session_registry(
+                id, 10, id == 3 ? 9'000'000 : id == 5 ? 8'000'000 : 1000));
+        for (std::uint64_t id = 0; id < n_sessions; ++id)
+            agg.add_session(id, sessions[id]);
+        const std::vector<std::uint64_t> laggards = agg.select_laggards();
+        ASSERT_EQ(laggards, (std::vector<std::uint64_t>{3, 5}));
+        for (const std::uint64_t id : laggards)
+            agg.add_laggard_detail(id, sessions[id]);
 
-    const obs::MetricsRegistry& out = agg.output();
-    EXPECT_NE(out.counters().find("fleet.s3.frames"), out.counters().end());
-    EXPECT_NE(out.counters().find("fleet.s5.frames"), out.counters().end());
-    EXPECT_EQ(out.counters().find("fleet.s0.frames"), out.counters().end());
-    // The shared-name roll-up is not polluted by per-id names: bounded
-    // base cardinality + K detail sets, independent of session count.
-    EXPECT_EQ(out.counters().size(), 1u + 2u);  // fleet.frames + 2 laggards
+        const obs::MetricsRegistry& out = agg.output();
+        EXPECT_NE(out.counters().find("fleet.s3.frames"),
+                  out.counters().end());
+        EXPECT_NE(out.counters().find("fleet.s5.frames"),
+                  out.counters().end());
+        EXPECT_EQ(out.counters().find("fleet.s0.frames"),
+                  out.counters().end());
+        // The shared-name roll-up is not polluted by per-id names:
+        // bounded base cardinality + K detail sets.
+        EXPECT_EQ(out.counters().size(), 1u + 2u);  // fleet.frames + 2
+        nodes.push_back(out.counters().size() + out.gauges().size() +
+                        out.histograms().size());
 
-    // Cycle 2: session 1 becomes the only laggard; 3/5 detail retires.
-    agg.begin_cycle();
-    sessions[1] = make_session_registry(1, 10, 99'000'000);
-    sessions[3] = make_session_registry(3, 10, 1000);
-    sessions[5] = make_session_registry(5, 10, 1000);
-    for (std::uint64_t id = 0; id < 6; ++id)
-        agg.add_session(id, sessions[id]);
-    // Session 1 leads; the second slot falls to the tie on 1000 ns,
-    // broken toward the lowest id (0). Ascending-order output.
-    const std::vector<std::uint64_t> laggards2 = agg.select_laggards();
-    ASSERT_EQ(laggards2, (std::vector<std::uint64_t>{0, 1}));
-    for (const std::uint64_t id : laggards2)
-        agg.add_laggard_detail(id, sessions[id]);
-    EXPECT_EQ(out.counters().find("fleet.s3.frames"), out.counters().end());
-    EXPECT_EQ(out.counters().find("fleet.s5.frames"), out.counters().end());
-    EXPECT_NE(out.counters().find("fleet.s1.frames"), out.counters().end());
+        // Cycle 2: session 1 becomes the only laggard; 3/5 detail
+        // retires.
+        agg.begin_cycle();
+        sessions[1] = make_session_registry(1, 10, 99'000'000);
+        sessions[3] = make_session_registry(3, 10, 1000);
+        sessions[5] = make_session_registry(5, 10, 1000);
+        for (std::uint64_t id = 0; id < n_sessions; ++id)
+            agg.add_session(id, sessions[id]);
+        // Session 1 leads; the second slot falls to the tie on 1000 ns,
+        // broken toward the lowest id (0). Ascending-order output.
+        const std::vector<std::uint64_t> laggards2 = agg.select_laggards();
+        ASSERT_EQ(laggards2, (std::vector<std::uint64_t>{0, 1}));
+        for (const std::uint64_t id : laggards2)
+            agg.add_laggard_detail(id, sessions[id]);
+        EXPECT_EQ(out.counters().find("fleet.s3.frames"),
+                  out.counters().end());
+        EXPECT_EQ(out.counters().find("fleet.s5.frames"),
+                  out.counters().end());
+        EXPECT_NE(out.counters().find("fleet.s1.frames"),
+                  out.counters().end());
+    }
+    EXPECT_EQ(nodes[0], nodes[1]);
 }
 
 TEST(Aggregation, SteadyStateCyclesKeepNodeCountStable) {
