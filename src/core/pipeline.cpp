@@ -155,8 +155,6 @@ BlinkRadarPipeline::BlinkRadarPipeline(const radar::RadarConfig& radar,
     rolling_window_frames_ =
         std::min(config_.selection_window_frames, max_window);
     rolling_var_.reset(radar_.n_bins());
-    wave_history_.reset_capacity(std::max<std::size_t>(
-        16, static_cast<std::size_t>(4.0 * radar_.frame_rate_hz())));
     view_soa_scratch_.reserve(max_window);
     select_scratch_.in_range.reserve(radar_.n_bins());
     select_scratch_.candidates.reserve(radar_.n_bins());
@@ -190,10 +188,6 @@ void BlinkRadarPipeline::reset_detection_state() {
     frames_since_fit_ = 0;
     frames_since_reselect_ = 0;
     phase_wave_.reset();
-    wave_history_.clear();
-    theta_unwrapped_ = 0.0;
-    have_theta_ = false;
-    prev_theta_raw_ = 0.0;
 }
 
 void BlinkRadarPipeline::restart() {
@@ -485,8 +479,7 @@ FrameResult BlinkRadarPipeline::process_validated(
                                         stage_ns(PipelineStage::kLevd));
             for (std::size_t i = 0; i + 1 < window_soa_.size(); ++i) {
                 levd_.warm_up(window_times_[i],
-                              compensated_distance(
-                                  window_times_[i],
+                              waveform_value(
                                   window_soa_[i].at(*selected_bin_)));
             }
         }
@@ -515,139 +508,22 @@ FrameResult BlinkRadarPipeline::process_validated(
         return result;
     }
 
-    // 6. Relative-distance waveform and LEVD. (compensated_distance also
-    // maintains the d/theta history the motion-artifact veto inspects;
-    // with motion_compensation off it returns the raw distance.)
-    const dsp::Complex sample = window_soa_.back().at(*selected_bin_);
+    // 6. Relative-distance waveform and LEVD.
     double d = 0.0;
     {
         const obs::StageTimer timer(stage_hist(PipelineStage::kWaveform),
                                     stage_ns(PipelineStage::kWaveform));
-        d = config_.waveform_mode == WaveformMode::kArcDistance
-                ? compensated_distance(frame.timestamp_s, sample)
-                : waveform_value(sample);
+        d = waveform_value(window_soa_.back().at(*selected_bin_));
     }
     result.waveform_value = d;
 
-    std::optional<DetectedBlink> blink;
     {
         const obs::StageTimer timer(stage_hist(PipelineStage::kLevd),
                                     stage_ns(PipelineStage::kLevd));
-        blink = levd_.push(frame.timestamp_s, d);
-        if (blink && config_.waveform_mode == WaveformMode::kArcDistance &&
-            motion_artifact_veto(*blink)) {
-            blink.reset();
-        }
+        result.blink = levd_.push(frame.timestamp_s, d);
     }
-    result.blink = blink;
     if (result.blink) blinks_.push_back(*result.blink);
     return result;
-}
-
-double BlinkRadarPipeline::compensated_distance(Seconds t,
-                                                dsp::Complex sample) {
-    BR_ASSERT(viewing_ && viewing_->valid());
-    const double d = viewing_->relative_distance(sample);
-
-    // Unwrapped angle around the viewing position.
-    const dsp::Complex v = sample - viewing_->center();
-    const double theta_raw = std::atan2(v.imag(), v.real());
-    if (have_theta_) {
-        double step = theta_raw - prev_theta_raw_;
-        while (step > constants::kPi) step -= constants::kTwoPi;
-        while (step < -constants::kPi) step += constants::kTwoPi;
-        theta_unwrapped_ += step;
-    } else {
-        have_theta_ = true;
-    }
-    prev_theta_raw_ = theta_raw;
-
-    wave_history_.push_back(WaveSample{t, d, theta_unwrapped_});  // ring
-    if (!config_.motion_compensation) return d;
-    if (wave_history_.size() < 16) return d;
-
-    // Motion compensation. A residual viewing-position error e leaks the
-    // head-motion rotation theta(t) into the distance waveform as
-    //   d(theta) ~ R + e_t * theta + (e_r / 2) * theta^2,
-    // which is exactly the quasi-periodic interference that mimics blink
-    // bumps (BCG beats are the worst: ~1 s period, blink-like rise
-    // times). Regressing d on (theta, theta^2) over the recent window and
-    // removing the fitted component cancels the leak, while a blink — a
-    // radial amplitude change uncorrelated with theta — passes through.
-    double s0 = 0, s1 = 0, s2 = 0, s3 = 0, s4 = 0;
-    double sd = 0, sd1 = 0, sd2 = 0;
-    const double theta_mean = [this] {
-        double acc = 0.0;
-        for (std::size_t i = 0; i < wave_history_.size(); ++i)
-            acc += wave_history_[i].theta;
-        return acc / static_cast<double>(wave_history_.size());
-    }();
-    for (std::size_t i = 0; i < wave_history_.size(); ++i) {
-        const WaveSample& w = wave_history_[i];
-        const double x = w.theta - theta_mean;
-        const double x2 = x * x;
-        s0 += 1.0;
-        s1 += x;
-        s2 += x2;
-        s3 += x2 * x;
-        s4 += x2 * x2;
-        sd += w.d;
-        sd1 += w.d * x;
-        sd2 += w.d * x2;
-    }
-    // Solve the 3x3 normal equations for d ~ a + b x + c x^2 by Cramer.
-    const double m00 = s0, m01 = s1, m02 = s2;
-    const double m11 = s2, m12 = s3, m22 = s4;
-    const double det = m00 * (m11 * m22 - m12 * m12) -
-                       m01 * (m01 * m22 - m12 * m02) +
-                       m02 * (m01 * m12 - m11 * m02);
-    if (std::abs(det) < 1e-12) return d;
-    const double det_b = m00 * (sd1 * m22 - m12 * sd2) -
-                         sd * (m01 * m22 - m12 * m02) +
-                         m02 * (m01 * sd2 - sd1 * m02);
-    const double det_c = m00 * (m11 * sd2 - sd1 * m12) -
-                         m01 * (m01 * sd2 - sd1 * m02) +
-                         sd * (m01 * m12 - m11 * m02);
-    const double b = det_b / det;
-    const double c = det_c / det;
-
-    const double x_now = wave_history_.back().theta - theta_mean;
-    return d - b * x_now - c * x_now * x_now;
-}
-
-bool BlinkRadarPipeline::motion_artifact_veto(
-    const DetectedBlink& blink) const {
-    // Range migration couples head motion into d(t): as the head moves,
-    // the reflector slides along the pulse's range point-spread slope and
-    // the bin amplitude follows the displacement. The same displacement
-    // simultaneously rotates the I/Q sample around the viewing position,
-    // so a migration bump in d(t) is (anti)correlated with theta(t) over
-    // its extent. A blink changes the reflection amplitude without moving
-    // the head — near-zero correlation. Veto bumps whose d-theta
-    // correlation is almost perfect.
-    if (config_.motion_veto_correlation >= 1.0) return false;
-    const Seconds lo = blink.peak_s - blink.duration_s;
-    const Seconds hi = blink.peak_s + blink.duration_s;
-    double sd = 0.0, st = 0.0, sdd = 0.0, stt = 0.0, sdt = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < wave_history_.size(); ++i) {
-        const WaveSample& w = wave_history_[i];
-        if (w.t < lo || w.t > hi) continue;
-        sd += w.d;
-        st += w.theta;
-        sdd += w.d * w.d;
-        stt += w.theta * w.theta;
-        sdt += w.d * w.theta;
-        ++n;
-    }
-    if (n < 6) return false;
-    const double dn = static_cast<double>(n);
-    const double cov = sdt / dn - (sd / dn) * (st / dn);
-    const double var_d = sdd / dn - (sd / dn) * (sd / dn);
-    const double var_t = stt / dn - (st / dn) * (st / dn);
-    if (var_d <= 0.0 || var_t <= 0.0) return false;
-    const double corr = cov / std::sqrt(var_d * var_t);
-    return std::abs(corr) > config_.motion_veto_correlation;
 }
 
 namespace {
@@ -854,7 +730,11 @@ constexpr std::uint32_t kPipelineTag = state::make_tag("PIPE");
 // different results (v1 sections and path byte 0 come from it). Only
 // the SoA frame path remains; its tag keeps the layout byte-identical,
 // so snapshots written before the scalar path was retired still restore.
-constexpr std::uint16_t kPipelineVersion = 2;
+// v3 dropped the (t, d, theta) history and the three unwrapped-angle
+// scalars after the window timestamps, which only the retired motion
+// compensation and motion-artifact veto read; v2 sections still restore
+// with that block bound-checked and discarded.
+constexpr std::uint16_t kPipelineVersion = 3;
 constexpr std::uint8_t kSoaPathTag = 1;
 }  // namespace
 
@@ -879,17 +759,6 @@ void BlinkRadarPipeline::save_state(state::StateWriter& writer) const {
     writer.write_size(window_times_.size());
     for (std::size_t i = 0; i < window_times_.size(); ++i)
         writer.write_f64(window_times_[i]);
-    writer.write_size(wave_history_.size());
-    for (std::size_t i = 0; i < wave_history_.size(); ++i) {
-        const WaveSample& w = wave_history_[i];
-        writer.write_f64(w.t);
-        writer.write_f64(w.d);
-        writer.write_f64(w.theta);
-    }
-
-    writer.write_f64(theta_unwrapped_);
-    writer.write_bool(have_theta_);
-    writer.write_f64(prev_theta_raw_);
 
     writer.write_bool(selected_bin_.has_value());
     writer.write_size(selected_bin_.value_or(0));
@@ -917,7 +786,7 @@ void BlinkRadarPipeline::save_state(state::StateWriter& writer) const {
     writer.write_size(frames_since_fit_);
     writer.write_size(frames_since_reselect_);
     // Retired keep-check reselect counter, always 0 at the only cadence
-    // that remains; the slot keeps the PIPE v2 layout byte-identical.
+    // that remains; the slot keeps this tail identical to PIPE v2's.
     writer.write_size(0);
     writer.write_size(restarts_);
     writer.end_section();
@@ -999,24 +868,23 @@ void BlinkRadarPipeline::restore_state(state::StateReader& reader) {
     for (std::size_t i = 0; i < n_times; ++i)
         window_times_.push_back(reader.read_f64());
 
-    const std::size_t n_wave = reader.read_size();
-    if (n_wave > wave_history_.capacity())
-        throw state::SnapshotError(
-            "PIPE: snapshot wave history holds " + std::to_string(n_wave) +
-            " samples but this pipeline's capacity is " +
-            std::to_string(wave_history_.capacity()));
-    wave_history_.clear();
-    for (std::size_t i = 0; i < n_wave; ++i) {
-        WaveSample w;
-        w.t = reader.read_f64();
-        w.d = reader.read_f64();
-        w.theta = reader.read_f64();
-        wave_history_.push_back(w);
+    if (version == 2) {
+        // Retired motion-stage history (see kPipelineVersion): up to 4 s
+        // of (t, d, theta) triples (at least 16), then the unwrapped
+        // angle, its valid flag and the previous raw angle.
+        const std::size_t n_wave = reader.read_size();
+        const std::size_t cap = std::max<std::size_t>(
+            16, static_cast<std::size_t>(4.0 * radar_.frame_rate_hz()));
+        if (n_wave > cap)
+            throw state::SnapshotError(
+                "PIPE: v2 snapshot wave history holds " +
+                std::to_string(n_wave) + " samples but its capacity is " +
+                std::to_string(cap));
+        for (std::size_t i = 0; i < 3 * n_wave; ++i) reader.read_f64();
+        reader.read_f64();
+        reader.read_bool();
+        reader.read_f64();
     }
-
-    theta_unwrapped_ = reader.read_f64();
-    have_theta_ = reader.read_bool();
-    prev_theta_raw_ = reader.read_f64();
 
     const bool have_bin = reader.read_bool();
     const std::size_t bin = reader.read_size();

@@ -294,16 +294,6 @@ private:
     BinSelector selector_;
     Levd levd_;
 
-    /// Veto blinks whose distance bump is explained by concurrent head
-    /// rotation (see motion_artifact_veto in pipeline.cpp).
-    bool motion_artifact_veto(const DetectedBlink& blink) const;
-
-    /// Compute the motion-compensated relative distance for a new sample:
-    /// tracks the unwrapped angle theta around the viewing position,
-    /// regresses d on (theta, theta^2) over the recent window and removes
-    /// that component (see pipeline.cpp for the physics).
-    double compensated_distance(Seconds t, dsp::Complex sample);
-
     RingBuffer<dsp::IqPlanes> window_soa_;  ///< recent subtracted frames
     RingBuffer<Seconds> window_times_;      ///< their timestamps
 
@@ -325,16 +315,6 @@ private:
     dsp::ComplexSignal tap_pre_scratch_;   ///< recorder tap interleave
     dsp::ComplexSignal tap_sub_scratch_;   ///< recorder tap interleave
 
-    /// Recent (t, d, theta) triples for the motion-artifact veto.
-    struct WaveSample {
-        Seconds t = 0.0;
-        double d = 0.0;      ///< relative distance
-        double theta = 0.0;  ///< unwrapped angle around the viewing centre
-    };
-    RingBuffer<WaveSample> wave_history_;
-    double theta_unwrapped_ = 0.0;
-    bool have_theta_ = false;
-    double prev_theta_raw_ = 0.0;
     std::optional<std::size_t> selected_bin_;
     std::optional<ViewingPosition> viewing_;
     std::vector<DetectedBlink> blinks_;

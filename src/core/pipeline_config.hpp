@@ -134,19 +134,6 @@ struct PipelineConfig {
     Seconds max_rise_s = 0.6;
     Seconds refractory_s = 0.35;    ///< one event per bump
     Seconds noise_window_s = 4.0;   ///< robust noise estimation window
-    /// Motion-artifact veto: drop a detected bump when |corr(d, theta)|
-    /// over the bump exceeds this value — the bump is then explained by
-    /// head motion sliding the reflector along the range point-spread
-    /// slope (range migration), not by a blink. Set >= 1.0 to disable.
-    /// Disabled by default: on simulated data it rejects as many true
-    /// blinks (which coincide with ongoing BCG rotation) as artifacts;
-    /// kept as an ablation knob.
-    double motion_veto_correlation = 1.5;
-    /// Subtract the theta-regression (rotation leak) from d(t) before
-    /// LEVD. Disabled by default: the blink's own lid-path phase change
-    /// perturbs theta, so the regression eats part of the blink bump;
-    /// kept as an ablation knob.
-    bool motion_compensation = false;
 
     // --- Restart on large body movement (Section IV-E) ---
     double movement_threshold_factor = 120.0; ///< x rolling median frame diff

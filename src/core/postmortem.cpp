@@ -22,6 +22,13 @@ constexpr std::uint32_t kTagConfigs = state::make_tag("FRCF");
 constexpr std::uint16_t kConfigsVersion = 2;
 constexpr std::uint8_t kScalarPathByte = 0;
 constexpr std::uint8_t kAutoPathByte = 2;
+// Two slots after noise_window_s held the retired motion-artifact veto
+// correlation (>= 1.0 = off) and the motion-compensation flag. They are
+// still written as their old "off" defaults, which keeps default-config
+// dumps byte-identical to those recorded before both stages were
+// removed; a dump that enabled either one cannot be replayed.
+constexpr double kRetiredVetoOff = 1.5;
+constexpr bool kRetiredCompensationOff = false;
 
 /// Bit-pattern double equality: replay verification must distinguish
 /// -0.0 from 0.0 and treat NaN == NaN (a repeated NaN is *correct*
@@ -85,8 +92,8 @@ void save_flight_configs(state::StateWriter& writer,
     writer.write_f64(pipeline.max_rise_s);
     writer.write_f64(pipeline.refractory_s);
     writer.write_f64(pipeline.noise_window_s);
-    writer.write_f64(pipeline.motion_veto_correlation);
-    writer.write_bool(pipeline.motion_compensation);
+    writer.write_f64(kRetiredVetoOff);
+    writer.write_bool(kRetiredCompensationOff);
     writer.write_f64(pipeline.movement_threshold_factor);
     writer.write_f64(pipeline.movement_median_window_s);
 
@@ -156,8 +163,14 @@ FlightConfigs load_flight_configs(state::StateReader& reader) {
     c.pipeline.max_rise_s = reader.read_f64();
     c.pipeline.refractory_s = reader.read_f64();
     c.pipeline.noise_window_s = reader.read_f64();
-    c.pipeline.motion_veto_correlation = reader.read_f64();
-    c.pipeline.motion_compensation = reader.read_bool();
+    if (reader.read_f64() < 1.0)
+        throw state::SnapshotError(
+            "FRCF: dump was recorded with the retired motion-artifact veto "
+            "enabled, which this build can no longer replay");
+    if (reader.read_bool())
+        throw state::SnapshotError(
+            "FRCF: dump was recorded with the retired motion compensation "
+            "enabled, which this build can no longer replay");
     c.pipeline.movement_threshold_factor = reader.read_f64();
     c.pipeline.movement_median_window_s = reader.read_f64();
 

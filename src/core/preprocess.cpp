@@ -110,12 +110,4 @@ void Preprocessor::restore_state(state::StateReader& reader) {
     reader.close_section();
 }
 
-radar::FrameSeries Preprocessor::apply(const radar::FrameSeries& series) const {
-    radar::FrameSeries out;
-    out.resize(series.size());
-    for (std::size_t i = 0; i < series.size(); ++i)
-        apply_into(series[i], out[i]);
-    return out;
-}
-
 }  // namespace blinkradar::core

@@ -41,9 +41,6 @@ public:
     void apply_soa(const radar::RadarFrame& frame, dsp::IqPlanes& out,
                    const obs::KernelTimers* timers = nullptr) const;
 
-    /// Apply to a whole series (convenience for batch analysis).
-    radar::FrameSeries apply(const radar::FrameSeries& series) const;
-
     const dsp::FirFilter& fir() const noexcept { return fir_; }
     std::size_t smooth_window() const noexcept { return smooth_window_; }
 

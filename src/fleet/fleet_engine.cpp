@@ -112,12 +112,10 @@ SessionId FleetEngine::create_session(const radar::RadarConfig& radar,
     s->id = id;
     s->radar = radar;
     s->pipeline_config = std::move(overrides);
-    // Engine-managed prefix: with per-session ids no two sessions can
-    // ever collide in a shared downstream registry, snapshot, or trace.
+    // Engine-managed per-session prefix: no two sessions can ever
+    // collide in a shared downstream registry, snapshot, or trace.
     s->pipeline_config.metrics_prefix =
-        config_.per_session_metric_ids
-            ? config_.metrics_prefix + "s" + std::to_string(id) + "."
-            : config_.metrics_prefix;
+        config_.metrics_prefix + "s" + std::to_string(id) + ".";
     if (config_.collect_metrics)
         s->metrics = std::make_unique<obs::MetricsRegistry>();
     s->last_active_pump = engine_stats_.pumps;  // creation counts as activity

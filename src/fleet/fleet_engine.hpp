@@ -118,12 +118,9 @@ struct FleetConfig {
     /// in ascending session-id order by merge_metrics().
     bool collect_metrics = false;
 
-    /// Metric name prefix. With per_session_metric_ids every session
-    /// gets "<metrics_prefix>s<id>." (artifacts never collide); without
-    /// it all sessions share "<metrics_prefix>" and merge_metrics()
-    /// aggregates same-named series across the fleet.
+    /// Metric name prefix. Every session gets "<metrics_prefix>s<id>.",
+    /// so no two sessions' series ever collide.
     std::string metrics_prefix = "fleet.";
-    bool per_session_metric_ids = true;
 
     /// Engine-enforced eviction policy (see ResidencyPolicy). Adjustable
     /// at runtime via set_residency_policy — the ingest front-end's shed

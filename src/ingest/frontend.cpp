@@ -378,15 +378,10 @@ void IngestFrontend::set_level(ShedLevel to, double load) {
     }
 }
 
-void IngestFrontend::run_governor(std::size_t backlog,
-                                  std::uint64_t pump_ns,
-                                  PumpReport& report) {
+void IngestFrontend::run_governor(std::size_t backlog, PumpReport& report) {
     const GovernorConfig& g = config_.governor;
-    const double load =
-        g.wall_clock_shedding
-            ? static_cast<double>(pump_ns) / static_cast<double>(g.slo_ns)
-            : static_cast<double>(backlog) /
-                  static_cast<double>(g.budget_frames_per_tick);
+    const double load = static_cast<double>(backlog) /
+                        static_cast<double>(g.budget_frames_per_tick);
 
     ShedLevel target = ShedLevel::kNormal;
     if (load >= g.refuse_at) target = ShedLevel::kRefuseAdmissions;
@@ -464,7 +459,7 @@ PumpReport IngestFrontend::pump() {
         backlog += sp->queue.size() + (sp->holding ? 1 : 0);
     report.backlog = backlog;
 
-    run_governor(backlog, report.pump_ns, report);
+    run_governor(backlog, report);
 
     tokens_ = std::min(config_.admission.capacity,
                        tokens_ + config_.admission.refill_per_tick);

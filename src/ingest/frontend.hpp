@@ -50,10 +50,7 @@
 // — derives from deterministic accounting (queue occupancy, tick
 // counts, the forked per-stream RNGs), never from wall-clock time. Runs
 // are bit-identical at any shard/thread count. Wall time is only
-// *recorded* (metrics). The one exception is opt-in: governor
-// wall_clock_shedding drives the load signal from measured pump latency
-// instead, which reacts to the real machine but is explicitly not
-// reproducible.
+// *recorded* (metrics).
 //
 // No silent loss: per stream,
 //   frames_decoded == delivered + queue drops + still queued + holding
@@ -161,12 +158,6 @@ struct GovernorConfig {
     /// previous policy is saved and restored on release).
     fleet::ResidencyPolicy overload_residency{
         .max_resident = 0, .evict_idle_after_pumps = 1};
-
-    /// Opt-in: drive the load signal from measured engine-pump wall
-    /// latency against slo_ns instead of backlog accounting. Reactive to
-    /// the actual machine — and therefore NOT reproducible run to run.
-    bool wall_clock_shedding = false;
-    std::uint64_t slo_ns = 40'000'000;  ///< the fleet 40 ms pump SLO
 };
 
 /// The live telemetry plane (see src/obs/telemetry and DESIGN.md §16):
@@ -333,8 +324,7 @@ private:
     void poll_stream(Stream& s);
     std::size_t deliver();
     void run_watchdogs();
-    void run_governor(std::size_t backlog, std::uint64_t pump_ns,
-                      PumpReport& report);
+    void run_governor(std::size_t backlog, PumpReport& report);
     void set_level(ShedLevel to, double load);
     void trace_line(const std::string& line);
 

@@ -40,8 +40,8 @@ void Aggregator::add_session(std::uint64_t id,
                              const MetricsRegistry& session) {
     session_prefix_into(id, spfx_);
     // Per-session names lose their "fleet.s<id>." prefix; names without
-    // it (shared-prefix fleets, per_session_metric_ids=false) fold
-    // through unchanged — the roll-up then just mirrors merge_from.
+    // it (a registry recorded under another prefix) fold through
+    // unchanged, as merge_from would fold them.
     const auto rolled = [&](const std::string& name) -> const std::string& {
         if (name.size() > spfx_.size() &&
             name.compare(0, spfx_.size(), spfx_) == 0) {

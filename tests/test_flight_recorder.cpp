@@ -5,6 +5,7 @@
 // test_state enforces for the underlying container).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <set>
 #include <stdexcept>
@@ -442,6 +443,63 @@ TEST(FlightDumpCorruption, OutOfRangeEnumBytesAreRejected) {
         p.fit_method = core::CircleFitMethod::kTaubin;
         p.waveform_mode = core::WaveformMode::kPhase;
     })));
+}
+
+TEST(FlightDumpCorruption, RetiredMotionStageDumpsAreRejected) {
+    // FRCF keeps the slots of the removed motion-artifact veto
+    // correlation (f64) and motion-compensation flag (bool) just before
+    // movement_threshold_factor. Counted back from the trailing
+    // frame-path byte (the last payload byte, before the 4-byte section
+    // CRC): 49 guard bytes, then the two movement doubles.
+    state::StateWriter writer;
+    writer.defer_crcs();
+    core::save_flight_configs(writer, radar::RadarConfig{},
+                              core::PipelineConfig{});
+    const std::vector<std::uint8_t> written = writer.finish();
+    const std::size_t path_byte = written.size() - 5;
+    const std::size_t movement_at = path_byte - 49 - 16;
+    const std::size_t compensation_at = movement_at - 1;
+    const std::size_t veto_at = compensation_at - 8;
+    const auto f64_at = [&](std::size_t at) {
+        std::uint64_t bits = 0;
+        for (std::size_t k = 0; k < 8; ++k)
+            bits |= static_cast<std::uint64_t>(written[at + k]) << (8 * k);
+        return std::bit_cast<double>(bits);
+    };
+    ASSERT_EQ(f64_at(movement_at),
+              core::PipelineConfig{}.movement_threshold_factor);
+    // A default FRCF still carries the stages' old "off" values.
+    EXPECT_EQ(f64_at(veto_at), 1.5);
+    EXPECT_EQ(written[compensation_at], 0);
+
+    const auto load = [](std::vector<std::uint8_t> bytes) {
+        state::seal_section_crcs(bytes);
+        state::StateReader reader(bytes);
+        return core::load_flight_configs(reader);
+    };
+    const auto with_veto = [&](double veto) {
+        std::vector<std::uint8_t> bytes = written;
+        const auto bits = std::bit_cast<std::uint64_t>(veto);
+        for (std::size_t k = 0; k < 8; ++k)
+            bytes[veto_at + k] = static_cast<std::uint8_t>(bits >> (8 * k));
+        return bytes;
+    };
+    const auto expect_rejected = [&](std::vector<std::uint8_t> bytes,
+                                     const std::string& stage) {
+        try {
+            load(std::move(bytes));
+            ADD_FAILURE() << "a dump with " << stage << " enabled loaded";
+        } catch (const state::SnapshotError& e) {
+            EXPECT_NE(std::string(e.what()).find(stage), std::string::npos)
+                << e.what();
+        }
+    };
+    EXPECT_NO_THROW(load(written));
+    EXPECT_NO_THROW(load(with_veto(1.0)));
+    expect_rejected(with_veto(0.5), "motion-artifact veto");
+    std::vector<std::uint8_t> compensated = written;
+    compensated[compensation_at] = 1;
+    expect_rejected(compensated, "motion compensation");
 }
 
 TEST(FlightDumpCorruption, FuzzedMutationsNeverEscapeSnapshotError) {

@@ -62,18 +62,6 @@ TEST(Preprocessor, KeepsTimestamp) {
     EXPECT_DOUBLE_EQ(pre.apply(f).timestamp_s, 12.34);
 }
 
-TEST(Preprocessor, SeriesOverloadAppliesPerFrame) {
-    Rng rng(4);
-    const Preprocessor pre{PipelineConfig{}};
-    radar::FrameSeries series;
-    for (int i = 0; i < 5; ++i)
-        series.push_back(noisy_frame(1.0, 0.02, 151, 40, rng));
-    const radar::FrameSeries out = pre.apply(series);
-    ASSERT_EQ(out.size(), series.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i].bins.size(), series[i].bins.size());
-}
-
 TEST(Preprocessor, PhaseIsPreservedAtThePeak) {
     // The blink signature lives in I/Q phase; the fast-time filter must
     // not corrupt it where the signal is strong.

@@ -4,7 +4,9 @@
 // across split points, fault streams, guard on/off, and metrics on/off.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "common/random.hpp"
@@ -70,19 +72,77 @@ std::vector<std::uint8_t> snapshot_of(const BlinkRadarPipeline& pipe) {
     return writer.finish();
 }
 
+void append_le(std::vector<std::uint8_t>& out, std::uint64_t v,
+               std::size_t bytes) {
+    for (std::size_t k = 0; k < bytes; ++k)
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
+}
+
+/// Re-emit a snapshot's leading PIPE v3 section as PIPE v2, which also
+/// carried the history of the removed motion stages after the window
+/// timestamps: `n_wave` (t, d, theta) triples, the unwrapped angle, its
+/// valid flag and the previous raw angle. CRCs are re-sealed, so only
+/// the version and the spliced block differ.
+std::vector<std::uint8_t> as_pipe_v2(const std::vector<std::uint8_t>& v3,
+                                     std::size_t n_wave) {
+    // Container header (8 bytes), then PIPE's section header: tag u32,
+    // version u16, reserved u16, payload_len u32.
+    constexpr std::size_t kVersionAt = 12, kLenAt = 16, kPayloadAt = 20;
+    state::StateReader reader(v3);
+    EXPECT_EQ(reader.open_section(state::make_tag("PIPE")), 3);
+    reader.read_size();  // n_bins
+    reader.read_f64();   // frame rate
+    reader.read_u8();    // waveform mode
+    reader.read_u8();    // frame-path byte
+    std::vector<double> re, im;
+    for (std::size_t i = reader.read_size(); i > 0; --i)
+        reader.read_complex_planes_into(re, im);
+    for (std::size_t i = reader.read_size(); i > 0; --i) reader.read_f64();
+    std::uint32_t payload_len = 0;
+    for (std::size_t k = 0; k < 4; ++k)
+        payload_len |= static_cast<std::uint32_t>(v3[kLenAt + k]) << (8 * k);
+    const std::size_t splice =
+        kPayloadAt + payload_len - reader.section_remaining();
+
+    std::vector<std::uint8_t> history;
+    append_le(history, n_wave, 8);
+    for (std::size_t i = 0; i < 3 * n_wave; ++i)
+        append_le(history,
+                  std::bit_cast<std::uint64_t>(0.25 * static_cast<double>(i)),
+                  8);
+    append_le(history, std::bit_cast<std::uint64_t>(-1.75), 8);
+    append_le(history, 1, 1);
+    append_le(history, std::bit_cast<std::uint64_t>(2.5), 8);
+
+    std::vector<std::uint8_t> out(v3.begin(), v3.begin() + splice);
+    out.insert(out.end(), history.begin(), history.end());
+    out.insert(out.end(), v3.begin() + splice, v3.end());
+    out[kVersionAt] = 2;
+    out[kVersionAt + 1] = 0;
+    const std::uint64_t new_len = payload_len + history.size();
+    for (std::size_t k = 0; k < 4; ++k)
+        out[kLenAt + k] = static_cast<std::uint8_t>(new_len >> (8 * k));
+    state::seal_section_crcs(out);
+    return out;
+}
+
 /// The core drill: process frames [0, split), snapshot, keep the
 /// original running over [split, end) while a restored twin replays the
 /// same tail; every result and the final public state must match.
-void run_resume_drill(const radar::FrameSeries& frames,
-                      const radar::RadarConfig& radar,
-                      const PipelineConfig& config, std::size_t split,
-                      obs::MetricsRegistry* original_metrics,
-                      obs::MetricsRegistry* restored_metrics) {
+/// `rewrite` (optional) transforms the snapshot bytes before restore.
+void run_resume_drill(
+    const radar::FrameSeries& frames, const radar::RadarConfig& radar,
+    const PipelineConfig& config, std::size_t split,
+    obs::MetricsRegistry* original_metrics,
+    obs::MetricsRegistry* restored_metrics,
+    const std::function<std::vector<std::uint8_t>(
+        const std::vector<std::uint8_t>&)>& rewrite = {}) {
     ASSERT_LT(split, frames.size());
     BlinkRadarPipeline original(radar, config, original_metrics);
     for (std::size_t i = 0; i < split; ++i) original.process(frames[i]);
 
-    const std::vector<std::uint8_t> bytes = snapshot_of(original);
+    std::vector<std::uint8_t> bytes = snapshot_of(original);
+    if (rewrite) bytes = rewrite(bytes);
     BlinkRadarPipeline restored(radar, config, restored_metrics);
     {
         state::StateReader reader(bytes);
@@ -165,6 +225,31 @@ TEST(Resume, PhaseWaveformModeRoundTrips) {
     PipelineConfig config;
     config.waveform_mode = WaveformMode::kPhase;
     run_resume_drill(s.frames, s.radar, config, 200, nullptr, nullptr);
+}
+
+TEST(Resume, PipeV2HistoryBlockIsDiscardedOnRestore) {
+    // Snapshots written before the motion stages were removed carry
+    // their d/theta history; restoring one must resume exactly as the
+    // uninterrupted run, in cold start and in steady state.
+    const sim::SimulatedSession s =
+        simulate_session(reference_scenario(19, 20.0));
+    ASSERT_DOUBLE_EQ(s.radar.frame_rate_hz(), 25.0);
+    const std::size_t cap = 100;  // 4 s of frames
+    for (const std::size_t split : {20u, 300u}) {
+        SCOPED_TRACE("split=" + std::to_string(split));
+        run_resume_drill(s.frames, s.radar, {}, split, nullptr, nullptr,
+                         [&](const std::vector<std::uint8_t>& v3) {
+                             return as_pipe_v2(v3, cap);
+                         });
+    }
+
+    BlinkRadarPipeline original(s.radar);
+    for (std::size_t i = 0; i < 300; ++i) original.process(s.frames[i]);
+    const std::vector<std::uint8_t> over =
+        as_pipe_v2(snapshot_of(original), cap + 1);
+    BlinkRadarPipeline restored(s.radar);
+    state::StateReader reader(over);
+    EXPECT_THROW(restored.restore_state(reader), state::SnapshotError);
 }
 
 TEST(Resume, SnapshotOfFreshPipelineRestores) {
