@@ -113,8 +113,7 @@ void BM_PipelinePerFrameRecorder(benchmark::State& state) {
     const auto& s = session();
     static obs::FlightRecorder recorder;
     recorder.clear();
-    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, nullptr,
-                                      &recorder);
+    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, &recorder);
     FrameReplayer replay(s);
     for (auto _ : state)
         benchmark::DoNotOptimize(pipeline.process(replay.next()));

@@ -5,8 +5,9 @@
 //
 // The monitoring legs run through an instrumented pipeline: a metrics
 // summary (frames, blinks, stage latencies) prints at the end, and
-// setting BLINKRADAR_TRACE=/path/to/trace.jsonl additionally streams one
-// JSON record per radar frame to that file.
+// setting BLINKRADAR_TRACE=/path/to/trace.jsonl additionally traces
+// every radar frame as one span record (obs/telemetry/span.hpp) in that
+// file.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/drowsy.hpp"
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry/span.hpp"
 #include "obs/trace.hpp"
 #include "physio/driver_profile.hpp"
 #include "sim/scenario.hpp"
@@ -23,16 +25,25 @@ using namespace blinkradar;
 namespace {
 
 /// Run the pipeline over a recorded session and return long-blink window
-/// rates (the drowsiness feature; see core/drowsy.hpp). `metrics` /
-/// `trace` (optional) instrument the run.
-std::vector<double> recorded_rates(const sim::ScenarioConfig& scenario,
-                                   Seconds window_s,
-                                   obs::MetricsRegistry* metrics = nullptr,
-                                   obs::TraceSink* trace = nullptr) {
+/// rates (the drowsiness feature; see core/drowsy.hpp). `metrics`
+/// (optional) instruments the run; with `spans` as well, every frame is
+/// traced as one span of stream `scenario.seed`.
+std::vector<double> recorded_rates(
+    const sim::ScenarioConfig& scenario, Seconds window_s,
+    obs::MetricsRegistry* metrics = nullptr,
+    obs::telemetry::SpanCollector* spans = nullptr) {
     const sim::SimulatedSession session = sim::simulate_session(scenario);
     core::BlinkRadarPipeline pipeline(session.radar, core::PipelineConfig{},
-                                      metrics, trace);
-    for (const radar::RadarFrame& f : session.frames) pipeline.process(f);
+                                      metrics, nullptr, spans);
+    for (std::size_t i = 0; i < session.frames.size(); ++i) {
+        if (spans == nullptr) {
+            pipeline.process(session.frames[i]);
+            continue;
+        }
+        radar::RadarFrame frame = session.frames[i];
+        frame.span_id = spans->mint(scenario.seed, i);
+        pipeline.process(frame);
+    }
     return core::window_blink_rates(pipeline.blinks(), scenario.duration_s,
                                     window_s, /*min_duration_s=*/0.75);
 }
@@ -89,11 +100,14 @@ int main() {
                 2 * kHalf / 60.0, kHalf / 60.0);
 
     // Observability: roll up both monitoring legs into one registry;
-    // BLINKRADAR_TRACE (if set) gets the per-frame JSONL stream.
+    // BLINKRADAR_TRACE (if set) gets one span record per frame.
     obs::MetricsRegistry registry;
     const std::unique_ptr<obs::TraceSink> trace = obs::TraceSink::from_env();
-    if (trace)
+    std::unique_ptr<obs::telemetry::SpanCollector> spans;
+    if (trace) {
+        spans = std::make_unique<obs::telemetry::SpanCollector>(trace.get());
         std::printf("  (tracing frames to %s)\n", trace->path().c_str());
+    }
 
     int alarms_first_half = 0, alarms_second_half = 0;
     auto monitor_half = [&](physio::Alertness state, std::uint64_t seed,
@@ -103,7 +117,7 @@ int main() {
         leg.duration_s = kHalf;
         leg.seed = seed;
         const std::vector<double> rates =
-            recorded_rates(leg, kWindow, &registry, trace.get());
+            recorded_rates(leg, kWindow, &registry, spans.get());
         for (std::size_t w = 0; w < rates.size(); ++w) {
             const core::DrowsinessLabel label = detector.classify(rates[w]);
             const bool drowsy = label == core::DrowsinessLabel::kDrowsy;

@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry metrics;
     core::BlinkRadarPipeline pipeline(
         session.radar, {}, opt.metrics_out.empty() ? nullptr : &metrics,
-        nullptr, &recorder);
+        &recorder);
     core::HealthState last = core::HealthState::kOk;
     for (const radar::RadarFrame& f : stream) {
         const core::FrameResult r = pipeline.process(f);

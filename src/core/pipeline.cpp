@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/contracts.hpp"
 #include "obs/stage_timer.hpp"
@@ -73,13 +72,7 @@ void PhaseWaveform::restore_state(state::StateReader& reader) {
 }
 
 BlinkRadarPipeline::Instrumentation::Instrumentation(
-    obs::MetricsRegistry* external, obs::TraceSink* trace_sink,
-    const std::string& prefix)
-    : trace(trace_sink) {
-    if (external == nullptr)  // trace-only pipeline: private registry
-        owned_registry = std::make_unique<obs::MetricsRegistry>();
-    obs::MetricsRegistry& registry =
-        external != nullptr ? *external : *owned_registry;
+    obs::MetricsRegistry& registry, const std::string& prefix) {
     // One-time registration (and clock calibration): the frame path
     // after this touches only the returned handles. Every name carries
     // the caller's prefix so two instrumented pipelines (e.g. two fleet
@@ -121,13 +114,11 @@ BlinkRadarPipeline::Instrumentation::Instrumentation(
     levd_sigma = &registry.gauge(prefix + "levd.noise_sigma");
     selected_bin = &registry.gauge(prefix + "pipeline.selected_bin");
     kernels.register_in(registry, prefix);
-    trace_line.reserve(512);
 }
 
 BlinkRadarPipeline::BlinkRadarPipeline(const radar::RadarConfig& radar,
                                        PipelineConfig config,
                                        obs::MetricsRegistry* metrics,
-                                       obs::TraceSink* trace,
                                        obs::FlightRecorder* recorder,
                                        obs::telemetry::SpanCollector* spans)
     : radar_(radar),
@@ -165,11 +156,9 @@ BlinkRadarPipeline::BlinkRadarPipeline(const radar::RadarConfig& radar,
     kernels_ = &dsp::active_kernels();
 
     // Observability attaches last: all registration (and the one-time
-    // clock calibration) happens here, never on the frame path. A trace
-    // sink without a registry gets a private one so stage durations are
-    // still measured for the trace records.
-    if (metrics != nullptr || trace != nullptr)
-        instr_ = std::make_unique<Instrumentation>(metrics, trace,
+    // clock calibration) happens here, never on the frame path.
+    if (metrics != nullptr)
+        instr_ = std::make_unique<Instrumentation>(*metrics,
                                                    config_.metrics_prefix);
     recorder_ = recorder;
     spans_ = spans;
@@ -301,11 +290,10 @@ FrameResult BlinkRadarPipeline::process(const radar::RadarFrame& frame) {
     const bool span_frame = spans_ != nullptr && frame.span_id != 0;
     if (instr_) {
         instr_->detailed_frame =
-            span_frame || instr_->trace != nullptr ||
-            (instr_->frame_index & (kStageSampleFrames - 1)) == 0;
+            span_frame || (instr_->frame_index & (kStageSampleFrames - 1)) == 0;
         // A span frame's record reads last_ns as this frame's stage
         // durations, so stale values from earlier detailed frames must
-        // not leak in (the trace path wipes after each record instead).
+        // not leak in.
         if (span_frame) instr_->last_ns.fill(0);
     }
     FrameResult result;
@@ -316,14 +304,13 @@ FrameResult BlinkRadarPipeline::process(const radar::RadarFrame& frame) {
     }
     if (recorder_ != nullptr)
         record_frame(seq, frame, result, health_before, bin_before);
-    // Close the span before observe_frame: the trace path zeroes
-    // last_ns after emitting its own record. stage[0..7] only —
-    // frame_total is the whole call, not a hop.
+    // stage[0..7] only — frame_total is the whole call, not a hop. An
+    // uninstrumented pipeline timed nothing: its span carries no stages.
     if (span_frame)
         spans_->complete(frame.span_id,
                          instr_ ? instr_->last_ns.data() : nullptr,
                          kNumPipelineStages - 1);
-    if (instr_) observe_frame(frame, result, health_before);
+    if (instr_) observe_frame(result, health_before);
     return result;
 }
 
@@ -526,27 +513,7 @@ FrameResult BlinkRadarPipeline::process_validated(
     return result;
 }
 
-namespace {
-
-/// Append `v` to `out` with %.9g formatting (locale-independent enough
-/// for diagnostics; the exporter uses round-trip formatting instead).
-void append_double(std::string& out, double v) {
-    char buf[32];
-    const int n = std::snprintf(buf, sizeof(buf), "%.9g", v);
-    out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-    char buf[24];
-    const int n = std::snprintf(buf, sizeof(buf), "%llu",
-                                static_cast<unsigned long long>(v));
-    out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
-
-}  // namespace
-
-void BlinkRadarPipeline::observe_frame(const radar::RadarFrame& frame,
-                                       const FrameResult& result,
+void BlinkRadarPipeline::observe_frame(const FrameResult& result,
                                        HealthState before) {
     Instrumentation& in = *instr_;
     in.frames->inc();
@@ -583,9 +550,9 @@ void BlinkRadarPipeline::observe_frame(const radar::RadarFrame& frame,
     const HealthState after = guard_.health();
     if (after != before)
         in.health_entered[static_cast<std::size_t>(after)]->inc();
-    // Gauges are last-written snapshots; refreshing them on sampled
-    // frames only (every frame when tracing) is indistinguishable at
-    // snapshot time and keeps the steady-state frame cost down.
+    // Gauges are last-written snapshots; refreshing them on detailed
+    // frames only is indistinguishable at snapshot time and keeps the
+    // steady-state frame cost down.
     if (in.detailed_frame) {
         in.fault_rate->set(guard_.fault_rate());
         in.levd_threshold->set(levd_.threshold());
@@ -594,43 +561,6 @@ void BlinkRadarPipeline::observe_frame(const radar::RadarFrame& frame,
             selected_bin_ ? static_cast<double>(*selected_bin_) : -1.0);
     }
 
-    if (in.trace != nullptr) {
-        // One JSONL record per frame, built by appending into the reused
-        // (pre-reserved) line buffer — no temporaries, so steady-state
-        // tracing never allocates; the only cost beyond formatting is the
-        // sink's write.
-        std::string& line = in.trace_line;
-        line.clear();
-        line += "{\"frame\": ";
-        append_u64(line, in.frame_index);
-        line += ", \"t\": ";
-        append_double(line, frame.timestamp_s);
-        line += ", \"verdict\": \"";
-        line += to_string(result.quality);
-        line += "\", \"health\": \"";
-        line += to_string(after);
-        line += "\", \"cold_start\": ";
-        line += result.cold_start ? "true" : "false";
-        line += ", \"restarted\": ";
-        line += result.restarted ? "true" : "false";
-        line += ", \"blink\": ";
-        line += result.blink ? "true" : "false";
-        line += ", \"wave\": ";
-        append_double(line, result.waveform_value);
-        line += ", \"stages_ns\": {";
-        for (std::size_t s = 0; s < kNumPipelineStages; ++s) {
-            if (s != 0) line += ", ";
-            line += '"';
-            line += to_string(static_cast<PipelineStage>(s));
-            line += "\": ";
-            append_u64(line, in.last_ns[s]);
-        }
-        line += "}}";
-        in.trace->write_line(line);
-        // Stages skipped next frame must not show stale durations; only
-        // the trace reads last_ns, so the wipe is trace-gated too.
-        in.last_ns.fill(0);
-    }
     ++in.frame_index;
 }
 

@@ -29,7 +29,6 @@
 #include "obs/kernel_timers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/span.hpp"
-#include "obs/trace.hpp"
 #include "radar/config.hpp"
 #include "radar/frame.hpp"
 #include "state/snapshot.hpp"
@@ -103,9 +102,7 @@ public:
     /// kStageSampleFrames) and guard health / reselection / restart
     /// events become exact per-frame counters, all registered in the
     /// given registry at construction time (the frame path never
-    /// allocates or does string work). `trace` (optional, see obs::TraceSink::from_env
-    /// and BLINKRADAR_TRACE) additionally emits one JSONL record per
-    /// frame; stage durations in the trace require `metrics` too.
+    /// allocates or does string work).
     /// `recorder` (optional) attaches the always-on flight recorder: the
     /// raw frame is ringed before the guard sees it, a per-stage scalar
     /// tap (plus decimated full profiles) is ringed after every frame,
@@ -115,14 +112,14 @@ public:
     /// caller (typically core::Supervisor) — never by the pipeline.
     /// `spans` (optional) closes end-to-end trace spans: a frame whose
     /// span_id is non-zero is timed in full (detailed) and its measured
-    /// stage durations complete the span after processing.
+    /// stage durations complete the span after processing. Stages are
+    /// timed only with `metrics`; without it the span carries none.
     /// All pointers must outlive the pipeline. Instrumentation only
     /// observes: output is bit-identical with metrics on, off, or absent,
     /// and likewise with or without a recorder or span collector.
     BlinkRadarPipeline(const radar::RadarConfig& radar,
                        PipelineConfig config = {},
                        obs::MetricsRegistry* metrics = nullptr,
-                       obs::TraceSink* trace = nullptr,
                        obs::FlightRecorder* recorder = nullptr,
                        obs::telemetry::SpanCollector* spans = nullptr);
 
@@ -136,7 +133,7 @@ public:
 
     /// Stage-latency sampling period: the observability layer times the
     /// pipeline stages on 1 frame in kStageSampleFrames (deterministic
-    /// in the frame index; every frame while a trace sink is attached).
+    /// in the frame index), and on every frame that carries a span.
     /// Counters stay exact on every frame — only the latency histograms
     /// are duty-cycled. Rationale: a timestamp read costs ~65-95 ns
     /// under a hypervisor, so even the single whole-frame span timed on
@@ -191,7 +188,7 @@ public:
     void restore_state(state::StateReader& reader);
 
 private:
-    /// process() minus the whole-frame span and trace bookkeeping.
+    /// process() minus the whole-frame timing and span bookkeeping.
     FrameResult process_guarded(const radar::RadarFrame& frame);
     /// The detection chain behind the guard (the pre-guard process()).
     FrameResult process_validated(const radar::RadarFrame& frame);
@@ -206,13 +203,8 @@ private:
     /// pipeline runs uninstrumented; every hot-path touch point is a
     /// single null check then plain integer/double stores.
     struct Instrumentation {
-        Instrumentation(obs::MetricsRegistry* external,
-                        obs::TraceSink* trace_sink,
+        Instrumentation(obs::MetricsRegistry& registry,
                         const std::string& prefix);
-
-        /// Backing registry for trace-only pipelines (stage durations
-        /// still need histograms); null when an external one is used.
-        std::unique_ptr<obs::MetricsRegistry> owned_registry;
 
         std::array<obs::LatencyHistogram*, kNumPipelineStages> stage{};
         obs::Counter* frames = nullptr;
@@ -240,13 +232,11 @@ private:
         /// sampled stages.
         obs::KernelTimers kernels;
 
-        /// Per-frame stage durations (trace scratch, ns).
+        /// Per-frame stage durations (span scratch, ns).
         std::array<std::uint64_t, kNumPipelineStages> last_ns{};
         GuardStats prev_guard{};  ///< last counters, for per-frame deltas
         std::uint64_t frame_index = 0;
         bool detailed_frame = true;  ///< time sampled stages this frame?
-        obs::TraceSink* trace = nullptr;
-        std::string trace_line;  ///< reused JSONL buffer (no steady alloc)
     };
 
     /// True for the stages whose spans are duty-cycled (see
@@ -259,7 +249,7 @@ private:
                s != PipelineStage::kViewingFit;
     }
 
-    /// Histogram / trace-slot accessors; null (span disabled) when
+    /// Histogram / span-slot accessors; null (span disabled) when
     /// uninstrumented or when the stage is sampled out this frame.
     obs::LatencyHistogram* stage_hist(PipelineStage s) noexcept {
         if (instr_ == nullptr) return nullptr;
@@ -271,10 +261,9 @@ private:
                       : nullptr;
     }
 
-    /// Post-frame bookkeeping: counters, gauges, health transitions,
-    /// and the optional trace record. Only called when instrumented.
-    void observe_frame(const radar::RadarFrame& frame,
-                       const FrameResult& result, HealthState before);
+    /// Post-frame bookkeeping: counters, gauges and health transitions.
+    /// Only called when instrumented.
+    void observe_frame(const FrameResult& result, HealthState before);
 
     /// Flight-recorder close-out for one frame: the scalar tap, any
     /// events (health transition, restart, bin switch, blink), a metrics

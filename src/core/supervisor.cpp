@@ -7,16 +7,23 @@
 
 #include "common/contracts.hpp"
 #include "core/postmortem.hpp"
+#include "core/recovery_ladder.hpp"
 #include "state/snapshot.hpp"
 
 namespace blinkradar::core {
 
 namespace {
 
-void bump(std::uint64_t& stat, obs::Counter* counter) {
-    ++stat;
-    if (counter != nullptr) counter->inc();
-}
+/// Backoff after the k-th consecutive warm restore skips
+/// ~kBackoffBaseFrames * 2^k frames, capped at kBackoffCapFrames and
+/// scaled by a factor drawn uniformly from [1-j, 1+j) with
+/// j = kBackoffJitter.
+constexpr std::size_t kBackoffBaseFrames = 8;
+constexpr std::size_t kBackoffCapFrames = 256;
+constexpr double kBackoffJitter = 0.25;
+
+/// Consecutive clean frames that reset the warm-restore count.
+constexpr std::size_t kLadderResetFrames = 64;
 
 double steady_now_s() {
     return std::chrono::duration<double>(
@@ -27,16 +34,11 @@ double steady_now_s() {
 }  // namespace
 
 Supervisor::Supervisor(const radar::RadarConfig& radar,
-                       PipelineConfig pipeline_config, SupervisorConfig config,
-                       obs::MetricsRegistry* metrics, obs::TraceSink* trace)
+                       PipelineConfig pipeline_config, SupervisorConfig config)
     : radar_(radar),
       pipeline_config_(pipeline_config),
       config_(std::move(config)),
-      metrics_(metrics),
-      trace_(trace),
       jitter_rng_(Rng(config_.seed).fork()) {
-    BR_EXPECTS(config_.backoff_jitter >= 0.0 && config_.backoff_jitter < 1.0);
-    BR_EXPECTS(config_.backoff_base_frames >= 1);
     BR_EXPECTS(config_.stall_timeout_s >= 0.0);
     // Reclaim temp files a crashed predecessor left next to the slot
     // files (and in the dump directory, when separate): the unique
@@ -49,34 +51,13 @@ Supervisor::Supervisor(const radar::RadarConfig& radar,
     // The recorder must exist before the first pipeline: every pipeline
     // this supervisor ever constructs shares it.
     if (config_.flight_recorder)
-        recorder_ = std::make_unique<obs::FlightRecorder>(config_.recorder);
+        recorder_ = std::make_unique<obs::FlightRecorder>();
     pipeline_ = make_pipeline();
-    if (metrics_ != nullptr) {
-        counters_.frames = &metrics_->counter("supervisor.frames");
-        counters_.frame_faults = &metrics_->counter("supervisor.frame_faults");
-        counters_.retries = &metrics_->counter("supervisor.retries");
-        counters_.warm_restores =
-            &metrics_->counter("supervisor.warm_restores");
-        counters_.cold_restarts =
-            &metrics_->counter("supervisor.cold_restarts");
-        counters_.snapshots = &metrics_->counter("supervisor.snapshots");
-        counters_.snapshot_failures =
-            &metrics_->counter("supervisor.snapshot_failures");
-        counters_.restore_failures =
-            &metrics_->counter("supervisor.restore_failures");
-        counters_.backoff_skipped =
-            &metrics_->counter("supervisor.backoff_skipped_frames");
-        counters_.stalls = &metrics_->counter("supervisor.stalls");
-        counters_.dumps = &metrics_->counter("supervisor.dumps");
-        counters_.dump_failures =
-            &metrics_->counter("supervisor.dump_failures");
-    }
 }
 
 std::unique_ptr<BlinkRadarPipeline> Supervisor::make_pipeline() const {
     return std::make_unique<BlinkRadarPipeline>(radar_, pipeline_config_,
-                                                metrics_, trace_,
-                                                recorder_.get());
+                                                nullptr, recorder_.get());
 }
 
 double Supervisor::now() { return clock_ ? clock_() : steady_now_s(); }
@@ -90,7 +71,8 @@ FrameResult Supervisor::skipped_result() const {
 }
 
 FrameResult Supervisor::process(const radar::RadarFrame& frame) {
-    bump(stats_.frames, counters_.frames);
+    ++stats_.frames;
+    frame_t_ = frame.timestamp_s;
 
     // Stall watchdog: a long wall-clock gap means the feed wedged. The
     // pipeline state itself is intact (FrameGuard handles the timestamp
@@ -100,14 +82,14 @@ FrameResult Supervisor::process(const radar::RadarFrame& frame) {
     const double wall = now();
     if (config_.stall_timeout_s > 0.0 && have_last_wall_ &&
         wall - last_wall_s_ > config_.stall_timeout_s) {
-        bump(stats_.stalls, counters_.stalls);
+        ++stats_.stalls;
         snapshot_due_ = true;
         if (recorder_ != nullptr)
             recorder_->record_event(obs::RecorderEvent::kSupervisorStall,
                                     frame.timestamp_s, wall - last_wall_s_);
-        // A feed that wedged once may take the process down next: flush
-        // the trace tail and capture the black box while we can.
-        escalation_dump("stall");
+        // A feed that wedged once may take the process down next:
+        // capture the black box while we can.
+        dump_now("", "stall");
     }
     have_last_wall_ = true;
     last_wall_s_ = wall;
@@ -116,7 +98,7 @@ FrameResult Supervisor::process(const radar::RadarFrame& frame) {
     // storm: keep the pipeline untouched until the budget drains.
     if (backoff_remaining_ > 0) {
         --backoff_remaining_;
-        bump(stats_.backoff_skipped, counters_.backoff_skipped);
+        ++stats_.backoff_skipped;
         clean_streak_ = 0;
         return skipped_result();
     }
@@ -127,7 +109,7 @@ FrameResult Supervisor::process(const radar::RadarFrame& frame) {
         try {
             const FrameResult result = attempt(frame);
             fault_dump_written_ = false;  // next fault run dumps afresh
-            if (++clean_streak_ >= config_.ladder_reset_frames)
+            if (++clean_streak_ >= kLadderResetFrames)
                 consecutive_warm_restores_ = 0;
             ++frames_since_snapshot_;
             if (snapshot_due_ ||
@@ -138,7 +120,7 @@ FrameResult Supervisor::process(const radar::RadarFrame& frame) {
             }
             return result;
         } catch (const std::exception&) {
-            bump(stats_.frame_faults, counters_.frame_faults);
+            ++stats_.frame_faults;
             clean_streak_ = 0;
             if (recorder_ != nullptr)
                 recorder_->record_event(obs::RecorderEvent::kSupervisorFault,
@@ -148,12 +130,12 @@ FrameResult Supervisor::process(const radar::RadarFrame& frame) {
             // frame itself, and later escalation dumps capture the rest.
             if (!fault_dump_written_) {
                 fault_dump_written_ = true;
-                escalation_dump("frame_fault");
+                dump_now("", "frame_fault");
             }
             // Rung 1: retry the frame in place (transient faults).
-            if (attempts < config_.max_frame_retries) {
+            if (attempts < kMaxFrameRetries) {
                 ++attempts;
-                bump(stats_.retries, counters_.retries);
+                ++stats_.retries;
                 if (recorder_ != nullptr)
                     recorder_->record_event(
                         obs::RecorderEvent::kSupervisorRetry,
@@ -175,13 +157,13 @@ FrameResult Supervisor::process(const radar::RadarFrame& frame) {
                 return skipped_result();
             }
             // Rung 3: the ladder is exhausted — rebuild from scratch.
-            if (consecutive_warm_restores_ >= config_.max_warm_restores) {
+            if (consecutive_warm_restores_ >= kMaxWarmRestores) {
                 cold_restart();
                 if (recorder_ != nullptr)
                     recorder_->record_event(
                         obs::RecorderEvent::kSupervisorColdRestart,
                         frame.timestamp_s);
-                escalation_dump("cold_restart");
+                dump_now("", "cold_restart");
                 return skipped_result();
             }
             // Rung 2: warm-restore from the newest readable snapshot.
@@ -192,7 +174,7 @@ FrameResult Supervisor::process(const radar::RadarFrame& frame) {
                     recorder_->record_event(
                         obs::RecorderEvent::kSupervisorColdRestart,
                         frame.timestamp_s);
-                escalation_dump("cold_restart");
+                dump_now("", "cold_restart");
                 return skipped_result();
             }
             restored_this_frame = true;
@@ -201,7 +183,7 @@ FrameResult Supervisor::process(const radar::RadarFrame& frame) {
                     obs::RecorderEvent::kSupervisorWarmRestore,
                     frame.timestamp_s,
                     static_cast<double>(consecutive_warm_restores_));
-            escalation_dump("warm_restore");
+            dump_now("", "warm_restore");
         }
     }
 }
@@ -229,12 +211,12 @@ bool Supervisor::snapshot_now() {
     } catch (const std::exception&) {
         // Serialisation failing is a bug, but the supervisor's contract
         // is that checkpointing never takes the run loop down.
-        bump(stats_.snapshot_failures, counters_.snapshot_failures);
+        ++stats_.snapshot_failures;
         return false;
     }
     last_good_ = std::move(bytes);
     frames_since_snapshot_ = 0;
-    bump(stats_.snapshots, counters_.snapshots);
+    ++stats_.snapshots;
     // Feed the autosnapshot to the black box as a replay base: it is the
     // live state at the current recorder sequence (see postmortem.hpp).
     if (recorder_ != nullptr) recorder_->note_checkpoint(last_good_);
@@ -246,7 +228,7 @@ bool Supervisor::snapshot_now() {
         next_slot_ ^= 1u;
         return true;
     } catch (const state::SnapshotError&) {
-        bump(stats_.snapshot_failures, counters_.snapshot_failures);
+        ++stats_.snapshot_failures;
         return false;
     }
 }
@@ -270,14 +252,14 @@ bool Supervisor::warm_restore() {
     const auto try_bytes = [&](const std::vector<std::uint8_t>& bytes) {
         try {
             if (restore_from_bytes(bytes)) {
-                bump(stats_.warm_restores, counters_.warm_restores);
+                ++stats_.warm_restores;
                 // Re-base the replay timeline: from this recorder seq on,
                 // the live pipeline's state IS these bytes.
                 note_restore_checkpoint(bytes);
                 return true;
             }
         } catch (const std::exception&) {
-            bump(stats_.restore_failures, counters_.restore_failures);
+            ++stats_.restore_failures;
         }
         return false;
     };
@@ -289,7 +271,7 @@ bool Supervisor::warm_restore() {
             try {
                 bytes = state::read_snapshot_file(slot_path(slot));
             } catch (const state::SnapshotError&) {
-                bump(stats_.restore_failures, counters_.restore_failures);
+                ++stats_.restore_failures;
                 continue;
             }
             if (try_bytes(bytes)) {
@@ -303,7 +285,7 @@ bool Supervisor::warm_restore() {
 
 void Supervisor::cold_restart() {
     pipeline_ = make_pipeline();
-    bump(stats_.cold_restarts, counters_.cold_restarts);
+    ++stats_.cold_restarts;
     // Re-base the replay timeline on the from-scratch state.
     if (recorder_ != nullptr) {
         try {
@@ -326,13 +308,12 @@ void Supervisor::cold_restart() {
 std::size_t Supervisor::backoff_frames(std::size_t attempt) {
     const std::size_t shift = std::min<std::size_t>(attempt, 20);
     const std::size_t base =
-        std::min(config_.backoff_cap_frames,
-                 config_.backoff_base_frames << shift);
-    const double factor = jitter_rng_.uniform(1.0 - config_.backoff_jitter,
-                                              1.0 + config_.backoff_jitter);
+        std::min(kBackoffCapFrames, kBackoffBaseFrames << shift);
+    const double factor =
+        jitter_rng_.uniform(1.0 - kBackoffJitter, 1.0 + kBackoffJitter);
     const auto jittered =
         static_cast<std::size_t>(static_cast<double>(base) * factor);
-    return std::clamp<std::size_t>(jittered, 1, config_.backoff_cap_frames);
+    return std::clamp<std::size_t>(jittered, 1, kBackoffCapFrames);
 }
 
 void Supervisor::restore_from_file(const std::string& path) {
@@ -370,23 +351,14 @@ std::string Supervisor::dump_now(const std::string& path,
     } catch (const std::exception&) {
         // Dumping is best-effort by contract: a full disk must not turn
         // an absorbed pipeline fault into a supervisor crash.
-        bump(stats_.dump_failures, counters_.dump_failures);
+        ++stats_.dump_failures;
         return "";
     }
     if (path.empty()) next_dump_ ^= 1u;
-    bump(stats_.dumps, counters_.dumps);
+    ++stats_.dumps;
     last_dump_path_ = target;
-    recorder_->record_event(obs::RecorderEvent::kDump, last_wall_s_);
+    recorder_->record_event(obs::RecorderEvent::kDump, frame_t_);
     return target;
-}
-
-void Supervisor::escalation_dump(std::string_view reason) {
-    // Crash-or-escalation path: push the buffered trace tail out first —
-    // if the next step takes the process down, the JSONL stream still
-    // ends at the incident, not seconds before it.
-    if (trace_ != nullptr) trace_->flush();
-    if (!config_.dump_on_fault) return;
-    dump_now("", reason);
 }
 
 }  // namespace blinkradar::core

@@ -20,9 +20,10 @@
 //   - stall watchdog: a wall-clock gap between frames beyond
 //     stall_timeout_s (with an injectable clock for tests) is counted
 //     and forces a fresh checkpoint as soon as the stream is healthy;
-//   - observability: every transition is counted in an optional
-//     obs::MetricsRegistry (supervisor.* metrics) and mirrored in a
-//     plain SupervisorStats struct.
+//   - observability: every transition is counted in SupervisorStats.
+//
+// The ladder's rung bounds (core/recovery_ladder.hpp) are shared with
+// the fleet engine; the backoff schedule is fixed in supervisor.cpp.
 //
 // All randomness (backoff jitter) comes from an Rng forked from the
 // configured seed, so a crash drill replays identically — the same
@@ -38,14 +39,11 @@
 #include "common/random.hpp"
 #include "core/pipeline.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace blinkradar::core {
 
-/// Supervisor policy knobs. Defaults suit the 25 Hz in-vehicle stream:
-/// a checkpoint every ~10 s, one in-place retry, and a ladder that cold
-/// restarts only after three failed warm restores.
+/// Supervisor settings. Defaults suit the 25 Hz in-vehicle stream: a
+/// checkpoint every ~10 s and a 5 s stall watchdog.
 struct SupervisorConfig {
     /// Clean frames between autosnapshots (0 disables autosnapshot).
     std::size_t snapshot_interval_frames = 250;
@@ -57,23 +55,6 @@ struct SupervisorConfig {
     /// Slot file basename: <dir>/<basename>.slot{0,1}.snap.
     std::string snapshot_basename = "blinkradar";
 
-    /// Immediate same-frame retries before escalating to a warm restore.
-    std::size_t max_frame_retries = 1;
-
-    /// Consecutive warm restores before escalating to a cold restart.
-    std::size_t max_warm_restores = 3;
-
-    /// Backoff after the k-th consecutive warm restore skips
-    /// ~backoff_base_frames * 2^k frames (capped, jittered).
-    std::size_t backoff_base_frames = 8;
-    std::size_t backoff_cap_frames = 256;
-    /// Relative jitter on the backoff length, in [0, 1): the actual skip
-    /// is scaled by a factor drawn uniformly from [1-j, 1+j).
-    double backoff_jitter = 0.25;
-
-    /// Consecutive clean frames that reset the escalation ladder.
-    std::size_t ladder_reset_frames = 64;
-
     /// Wall-clock gap between process() calls that counts as a stall
     /// (0 disables the watchdog).
     double stall_timeout_s = 5.0;
@@ -81,20 +62,15 @@ struct SupervisorConfig {
     /// Seed for the jitter stream (forked; independent of everything).
     std::uint64_t seed = 1;
 
-    /// Attach an always-on obs::FlightRecorder to the supervised
-    /// pipeline (the black box survives pipeline replacement, so the
-    /// supervisor owns it). Disable for batch evaluation sweeps where
+    /// Attach an always-on obs::FlightRecorder (default ring depths) to
+    /// the supervised pipeline (the black box survives pipeline
+    /// replacement, so the supervisor owns it). It writes a flight dump
+    /// (rotating <basename>.dump{0,1}.brfr) on the first exception of a
+    /// fault run, on every warm restore / cold restart, and on a
+    /// stall-watchdog fire. Disable for batch evaluation sweeps where
     /// post-mortem capture is dead weight (eval::run_recovery_session
     /// does).
     bool flight_recorder = true;
-
-    /// Ring depths / cadences for the recorder when enabled.
-    obs::FlightRecorderConfig recorder;
-
-    /// Write a flight dump (rotating <basename>.dump{0,1}.brfr) on the
-    /// first exception of a fault run, on every warm restore / cold
-    /// restart, and on a stall-watchdog fire.
-    bool dump_on_fault = true;
 
     /// Directory for dump files; empty falls back to snapshot_dir, and
     /// with both empty the recorder still records but nothing is written
@@ -102,8 +78,7 @@ struct SupervisorConfig {
     std::string dump_dir;
 };
 
-/// Plain mirror of the supervisor.* metrics, available without a
-/// registry and cheap to assert on in tests.
+/// Counts of every supervisor transition.
 struct SupervisorStats {
     std::uint64_t frames = 0;            ///< process() calls
     std::uint64_t frame_faults = 0;      ///< exceptions caught
@@ -134,13 +109,8 @@ public:
     /// the injection point the crash drills and tests use.
     using FaultHook = std::function<void(std::uint64_t frame_index)>;
 
-    /// `trace` (optional, e.g. obs::TraceSink::from_env) is passed to
-    /// every supervised pipeline and flushed on every escalation step so
-    /// a crash cannot swallow the buffered tail of the JSONL stream.
     Supervisor(const radar::RadarConfig& radar, PipelineConfig pipeline_config,
-               SupervisorConfig config = {},
-               obs::MetricsRegistry* metrics = nullptr,
-               obs::TraceSink* trace = nullptr);
+               SupervisorConfig config = {});
 
     /// Process one frame under supervision. Never throws for pipeline
     /// faults (contract violations in the supervisor's own use of the
@@ -207,15 +177,11 @@ private:
     double now();
     FrameResult skipped_result() const;
     std::string dump_path(std::size_t slot) const;
-    /// Automatic dump + escalation trace flush (no-ops when disabled).
-    void escalation_dump(std::string_view reason);
     void note_restore_checkpoint(const std::vector<std::uint8_t>& bytes);
 
     radar::RadarConfig radar_;
     PipelineConfig pipeline_config_;
     SupervisorConfig config_;
-    obs::MetricsRegistry* metrics_ = nullptr;
-    obs::TraceSink* trace_ = nullptr;
 
     /// The black box. Owned here, not by the pipeline: recovery replaces
     /// pipelines, and the incident record must survive the swap.
@@ -240,28 +206,15 @@ private:
 
     bool have_last_wall_ = false;
     double last_wall_s_ = 0.0;
+    /// Timestamp of the frame being supervised: the timeline every
+    /// recorder event is stamped on.
+    double frame_t_ = 0.0;
 
     Rng jitter_rng_;
     FaultHook fault_hook_;
     ClockFn clock_;
 
     SupervisorStats stats_;
-
-    /// Registry handles (null when unobserved), registered once.
-    struct Counters {
-        obs::Counter* frames = nullptr;
-        obs::Counter* frame_faults = nullptr;
-        obs::Counter* retries = nullptr;
-        obs::Counter* warm_restores = nullptr;
-        obs::Counter* cold_restarts = nullptr;
-        obs::Counter* snapshots = nullptr;
-        obs::Counter* snapshot_failures = nullptr;
-        obs::Counter* restore_failures = nullptr;
-        obs::Counter* backoff_skipped = nullptr;
-        obs::Counter* stalls = nullptr;
-        obs::Counter* dumps = nullptr;
-        obs::Counter* dump_failures = nullptr;
-    } counters_;
 };
 
 }  // namespace blinkradar::core

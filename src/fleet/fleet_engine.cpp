@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "core/recovery_ladder.hpp"
 #include "state/snapshot.hpp"
 
 namespace blinkradar::fleet {
@@ -96,7 +97,7 @@ void FleetEngine::build_pipeline(Session& s) const {
     // names into it, which is idempotent for the handles it takes.
     obs::MetricsRegistry* registry = s.metrics.get();
     s.pipeline = std::make_unique<core::BlinkRadarPipeline>(
-        s.radar, s.pipeline_config, registry, nullptr, nullptr,
+        s.radar, s.pipeline_config, registry, nullptr,
         config_.span_collector);
 }
 
@@ -351,13 +352,13 @@ bool FleetEngine::process_with_recovery(
             if (config_.record_results) s.results.push_back(result);
             return true;
         } catch (const std::exception&) {
-            if (s.consecutive_failures < config_.max_frame_retries) {
+            if (s.consecutive_failures < core::kMaxFrameRetries) {
                 ++s.consecutive_failures;
                 ++s.stats.retries;
                 continue;  // retry the same frame
             }
             if (!s.autosnapshot.empty() &&
-                s.warm_restores_spent < config_.max_warm_restores) {
+                s.warm_restores_spent < core::kMaxWarmRestores) {
                 ++s.warm_restores_spent;
                 ++s.stats.warm_restores;
                 s.consecutive_failures = 0;

@@ -20,10 +20,13 @@
 //      ladder (retry -> warm restore from the session's autosnapshot ->
 //      cold restart) consults only the session's own counters, so which
 //      worker happens to drain a session cannot change its recovery
-//      decisions. (This is why a shard does not get a core::Supervisor
-//      per session: Supervisor-style jittered backoff would couple
-//      recovery to wall time and break replayability; the fleet ladder
-//      is the same policy with the nondeterminism removed.)
+//      decisions. The rung bounds are core::Supervisor's
+//      (core/recovery_ladder.hpp), but a shard does not run a
+//      Supervisor per session. Supervisor backoff would replay (it
+//      counts frames and draws its jitter from a seeded Rng), yet it
+//      answers the frames it skips as quarantined; and the Supervisor's
+//      stall watchdog reads the wall clock, so its forced checkpoints
+//      would make the warm-restore point depend on timing.
 //   3. Scheduling only chooses WHICH worker drains a session, never
 //      WHAT the drain computes. Sessions are sharded by id % n_shards;
 //      each shard has an atomic claim cursor, and a worker that empties
@@ -94,13 +97,6 @@ struct FleetConfig {
     /// ladder and the eviction fast path. 0 disables autosnapshots
     /// (recovery then escalates straight to cold restart).
     std::size_t snapshot_interval_frames = 250;
-
-    /// Recovery ladder bounds, per session (counters reset on a
-    /// successful frame): how often a throwing frame is retried before
-    /// escalating, and how many warm restores are spent before a cold
-    /// restart.
-    std::size_t max_frame_retries = 1;
-    std::size_t max_warm_restores = 2;
 
     /// When non-empty, evicted session state is written here (one
     /// `session-<id>.snap` per session, crash-safe via

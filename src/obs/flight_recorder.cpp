@@ -217,10 +217,18 @@ std::vector<std::uint8_t> FlightRecorder::take_checkpoint_buffer() noexcept {
     return std::move(spare_checkpoint_buf_);
 }
 
-void FlightRecorder::store_checkpoint(std::vector<std::uint8_t>&& bytes) {
+FlightRecorder::CheckpointSlot&
+FlightRecorder::claim_checkpoint_slot() noexcept {
+    CheckpointSlot& newest = checkpoints_[(next_checkpoint_ + 1) % 2];
+    if (newest.valid && newest.seq == seq_) return newest;
     CheckpointSlot& slot = checkpoints_[next_checkpoint_];
     next_checkpoint_ = (next_checkpoint_ + 1) % 2;
-    // The evicted slot's buffer becomes the next spare: the three
+    return slot;
+}
+
+void FlightRecorder::store_checkpoint(std::vector<std::uint8_t>&& bytes) {
+    CheckpointSlot& slot = claim_checkpoint_slot();
+    // The replaced slot's buffer becomes the next spare: the three
     // buffers (two slots + spare) round-robin, so once each has grown to
     // the serialized-state size, checkpointing stops allocating.
     spare_checkpoint_buf_ = std::move(slot.bytes);
@@ -234,8 +242,7 @@ void FlightRecorder::store_checkpoint(std::vector<std::uint8_t>&& bytes) {
 
 void FlightRecorder::note_checkpoint(std::span<const std::uint8_t> bytes) {
     external_checkpoints_ = true;
-    CheckpointSlot& slot = checkpoints_[next_checkpoint_];
-    next_checkpoint_ = (next_checkpoint_ + 1) % 2;
+    CheckpointSlot& slot = claim_checkpoint_slot();
     slot.bytes.assign(bytes.begin(), bytes.end());
     slot.seq = seq_;
     slot.valid = true;

@@ -271,7 +271,11 @@ private:
         std::vector<std::uint8_t> bytes;
     };
 
-    void store_checkpoint_slot(std::uint64_t at_seq);
+    /// The slot a checkpoint taken now goes to: the newest slot when it
+    /// already holds seq_ (only the later of two states at one seq is
+    /// live from there on, and rotating would evict the older replay
+    /// base), else the next slot in rotation.
+    CheckpointSlot& claim_checkpoint_slot() noexcept;
 
     FlightRecorderConfig config_;
     std::uint64_t seq_ = 0;

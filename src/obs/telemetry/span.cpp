@@ -55,7 +55,7 @@ void SpanCollector::complete(std::uint64_t span_id,
     std::lock_guard<std::mutex> lock(mutex_);
     Slot& s = slots_[span_id % kSlots];
     if (s.id != span_id) return;
-    n_stages = std::min(n_stages, kMaxStages);
+    n_stages = stage_dur_ns == nullptr ? 0 : std::min(n_stages, kMaxStages);
 
     // Clamp the hop chain monotone; a hop that was never stamped (its
     // leg was skipped) inherits its predecessor's time.
@@ -84,7 +84,7 @@ void SpanCollector::complete(std::uint64_t span_id,
     line_ += ",\"stage_ns\":[";
     for (std::size_t i = 0; i < n_stages; ++i) {
         if (i != 0) line_ += ',';
-        t += stage_dur_ns == nullptr ? 0 : stage_dur_ns[i];
+        t += stage_dur_ns[i];
         append_u64(line_, t);
     }
     line_ += "],\"result_ns\":";

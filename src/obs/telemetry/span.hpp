@@ -4,13 +4,19 @@
 // A span ID is minted at ingest decode (sampling stride shared with the
 // metrics duty cycle and widened by the shed ladder), rides inside the
 // RadarFrame through the bounded queue, admission, and the fleet pump,
-// and is completed by the pipeline after the frame's stages ran. The
+// and is completed by the pipeline after the frame's stages ran. A
+// caller that feeds a pipeline directly may mint every frame (stride 1,
+// what BLINKRADAR_TRACE means for drowsiness_monitor); its spans skip
+// the queue hops, which then inherit the decode stamp. The
 // completed span is emitted as one JSONL record of absolute per-hop
 // timestamps:
 //
 //   {"span":N,"stream":S,"seq":Q,"decode_ns":..,"enqueue_ns":..,
 //    "admit_ns":..,"pump_ns":..,"stage_ns":[8 stage-end times],
 //    "result_ns":..}
+//
+// "stage_ns" is empty when the completing pipeline timed no stages (it
+// has no metrics registry).
 //
 // Hops decode..pump are stamped with the steady clock at the moment
 // they happen (possibly on different threads; the queue's mutex orders
@@ -24,8 +30,8 @@
 // allocation, no unbounded growth. A span overtaken by 64 newer mints
 // before completing is abandoned (counted); a hop or completion for an
 // overwritten span is ignored. All operations take one internal mutex —
-// they only run for sampled frames (1-in-16 or sparser), so the hot
-// path's entire cost is the `span_id == 0` branch.
+// they only run for sampled frames (1-in-16 or sparser in the gateway),
+// so an unsampled frame's entire cost is the `span_id == 0` branch.
 #pragma once
 
 #include <array>
@@ -63,7 +69,8 @@ public:
 
     /// Close a span: synthesise stage timestamps from the pump hop plus
     /// `stage_dur_ns[0..n_stages)`, clamp the chain monotone, emit the
-    /// JSONL record, free the slot.
+    /// JSONL record, free the slot. A null `stage_dur_ns` means nothing
+    /// was timed: the record's stage list is empty.
     void complete(std::uint64_t span_id, const std::uint64_t* stage_dur_ns,
                   std::size_t n_stages);
 

@@ -1,14 +1,14 @@
-// Per-frame trace stream (JSONL), gated by the BLINKRADAR_TRACE
-// environment variable.
+// JSONL trace file, gated by the BLINKRADAR_TRACE environment variable.
 //
-// Tracing is the expensive, opt-in tier of the observability layer: one
-// JSON line per processed frame (stage durations, guard verdict, health,
-// waveform value). The pipeline reuses one line buffer so steady-state
-// tracing does not allocate, but the formatting + I/O cost is real —
-// never enable it while benchmarking the hot path.
+// Tracing is the expensive, opt-in tier of the observability layer. A
+// sink is the file a telemetry::SpanCollector writes its span records
+// into (one per traced frame, see obs/telemetry/span.hpp), and the file
+// the ingest front-end writes its stream lifecycle and shed events into.
+// The formatting + I/O cost is real — never enable it while
+// benchmarking the hot path.
 //
-// A sink belongs to one pipeline / one thread (same ownership rule as
-// MetricsRegistry).
+// A sink is not synchronised: one writer at a time (the SpanCollector
+// writes under its own mutex).
 #pragma once
 
 #include <fstream>
@@ -34,9 +34,8 @@ public:
     void write_line(std::string_view line);
 
     /// Push buffered lines to the OS. The stream buffers for throughput,
-    /// so a crash can swallow the most interesting tail of the trace;
-    /// the Supervisor flushes on every escalation step, and the
-    /// destructor flushes so a clean shutdown never loses lines either.
+    /// so a crash can swallow the tail of the trace; the destructor
+    /// flushes so a clean shutdown never loses lines.
     void flush();
 
     const std::string& path() const noexcept { return path_; }

@@ -15,6 +15,7 @@
 #include "common/contracts.hpp"
 #include "common/random.hpp"
 #include "core/pipeline.hpp"
+#include "core/recovery_ladder.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "physio/driver_profile.hpp"
 #include "sim/scenario.hpp"
@@ -360,8 +361,10 @@ TEST(Fleet, RecoveryLadderIsDeterministicAcrossSchedules) {
         for (std::size_t i = 0; i < a[s].results.size(); ++i)
             expect_result_eq(a[s].results[i], b[s].results[i], s, i);
     }
-    // The poisoned session escalated; the clean one is untouched.
+    // The poisoned session climbed the whole ladder; the clean one is
+    // untouched.
     EXPECT_GE(a[0].stats.retries, 1u);
+    EXPECT_EQ(a[0].stats.warm_restores, core::kMaxWarmRestores);
     EXPECT_EQ(a[0].stats.cold_restarts, 1u);
     EXPECT_EQ(a[0].stats.frames_dropped, 1u);
     EXPECT_EQ(a[1].stats.cold_restarts, 0u);

@@ -210,8 +210,7 @@ TEST(FlightReplay, ColdBaseReplaysEveryFrameBitIdentically) {
     cfg.raw_ring_frames = 1024;  // ring must reach back to frame 1
     cfg.checkpoint_interval_frames = 512;
     obs::FlightRecorder recorder(cfg);
-    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, nullptr,
-                                      &recorder);
+    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, &recorder);
     for (const radar::RadarFrame& f : s.frames) pipeline.process(f);
 
     const std::vector<std::uint8_t> bytes = core::make_flight_dump(
@@ -239,8 +238,7 @@ TEST(FlightReplay, DefaultConfigReplaysFromColdWithoutCheckpoints) {
     ASSERT_LT(s.frames.size(), 512u);
 
     obs::FlightRecorder recorder;  // default config
-    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, nullptr,
-                                      &recorder);
+    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, &recorder);
     for (const radar::RadarFrame& f : s.frames) pipeline.process(f);
 
     const std::vector<std::uint8_t> bytes = core::make_flight_dump(
@@ -261,8 +259,7 @@ TEST(FlightReplay, VerifierCatchesTamperedTaps) {
     // and the report has to flag exactly that frame.
     const sim::SimulatedSession s = short_session(20.0);
     obs::FlightRecorder recorder;
-    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, nullptr,
-                                      &recorder);
+    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, &recorder);
     for (const radar::RadarFrame& f : s.frames) pipeline.process(f);
     core::DecodedDump dump = core::decode_dump(core::make_flight_dump(
         recorder, s.radar, core::PipelineConfig{}, "tamper"));
@@ -366,6 +363,80 @@ TEST(FlightReplay, SupervisorCrashDumpReplaysBitIdentically) {
     }
     std::remove((dir + "/br_fr_test.slot0.snap").c_str());
     std::remove((dir + "/br_fr_test.slot1.snap").c_str());
+}
+
+namespace {
+
+/// A supervised session whose frame `crash_at` faults twice (attempt
+/// and retry), so the ladder warm-restores there. Writes the two
+/// rotating dumps <TempDir>/<basename>.dump{0,1}.brfr, whose paths it
+/// returns in write order: frame_fault, then warm_restore.
+std::vector<std::string> crash_once(const sim::SimulatedSession& s,
+                                    std::uint64_t crash_at,
+                                    const std::string& basename) {
+    const std::string dir = testing::TempDir();
+    core::SupervisorConfig config;
+    config.snapshot_interval_frames = 200;
+    config.snapshot_dir = dir;
+    config.snapshot_basename = basename;
+    core::Supervisor supervisor(s.radar, {}, config);
+    std::size_t throws_remaining = 2;
+    supervisor.set_fault_hook([&](std::uint64_t frame_index) {
+        if (frame_index == crash_at && throws_remaining > 0) {
+            --throws_remaining;
+            throw std::runtime_error("test: injected fault");
+        }
+    });
+    for (std::uint64_t i = 0; i <= crash_at; ++i)
+        supervisor.process(s.frames[i]);
+    EXPECT_EQ(supervisor.stats().warm_restores, 1u);
+    EXPECT_EQ(supervisor.stats().dumps, 2u);
+    std::remove((dir + "/" + basename + ".slot0.snap").c_str());
+    std::remove((dir + "/" + basename + ".slot1.snap").c_str());
+    return {dir + "/" + basename + ".dump0.brfr",
+            dir + "/" + basename + ".dump1.brfr"};
+}
+
+}  // namespace
+
+TEST(FlightReplay, WarmRestoreOnACheckpointFrameKeepsTheOlderBase) {
+    // Frame 400 crashes right after the autosnapshot at seq 400, so the
+    // restore notes the same seq again. That must replace the newest
+    // checkpoint, not evict the seq-200 base: otherwise the
+    // warm-restore dump holds seq 400 twice and replays nothing.
+    const sim::SimulatedSession s = short_session();
+    for (const std::string& path : crash_once(s, 400, "br_fr_ckpt_seq")) {
+        const core::DecodedDump dump = core::read_flight_dump_file(path);
+        ASSERT_EQ(dump.flight.checkpoints.size(), 2u) << path;
+        EXPECT_EQ(dump.flight.checkpoints[0].seq, 200u) << path;
+        EXPECT_EQ(dump.flight.checkpoints[1].seq, 400u) << path;
+        const core::ReplayReport report = core::replay_flight_dump(dump);
+        EXPECT_TRUE(report.ok) << path << ": " << report.note;
+        EXPECT_EQ(report.mismatch_count, 0u) << path;
+        EXPECT_EQ(report.frames_replayed, 200u) << path;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(FlightReplay, DumpEventIsStampedOnTheFrameTimeline) {
+    // The frame_fault dump's kDump event lands in the later
+    // warm_restore dump, stamped with the crashing frame's timestamp
+    // like the fault events around it (not a steady-clock reading).
+    const sim::SimulatedSession s = short_session();
+    const std::uint64_t crash_at = 300;
+    const std::vector<std::string> paths =
+        crash_once(s, crash_at, "br_fr_dump_event");
+    const core::DecodedDump dump = core::read_flight_dump_file(paths[1]);
+    EXPECT_EQ(dump.flight.reason, "warm_restore");
+    std::size_t dump_events = 0;
+    for (const obs::TapEvent& ev : dump.flight.events) {
+        if (ev.type != static_cast<std::uint8_t>(obs::RecorderEvent::kDump))
+            continue;
+        ++dump_events;
+        EXPECT_EQ(ev.t, s.frames[crash_at].timestamp_s);
+    }
+    EXPECT_EQ(dump_events, 1u);
+    for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 TEST(FlightDumpFile, WriteReadRoundTripAndMissingFileThrows) {

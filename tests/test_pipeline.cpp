@@ -10,6 +10,8 @@
 #include "common/random.hpp"
 #include "core/pipeline.hpp"
 #include "eval/metrics.hpp"
+#include "obs/telemetry/span.hpp"
+#include "obs/trace.hpp"
 #include "physio/driver_profile.hpp"
 #include "radar/impairments.hpp"
 #include "sim/scenario.hpp"
@@ -232,28 +234,70 @@ TEST(Pipeline, MetricsInstrumentationIsObservationOnly) {
               instrumented.guard_stats().samples_repaired);
 }
 
-TEST(Pipeline, TraceSinkStreamsOneRecordPerFrame) {
+/// Number of entries in a span record's "stage_ns" list.
+std::size_t span_stage_count(const std::string& record) {
+    const std::string key = "\"stage_ns\":[";
+    const std::size_t open = record.find(key);
+    if (open == std::string::npos) return 0;
+    const std::size_t first = open + key.size();
+    const std::size_t close = record.find(']', first);
+    if (close == first) return 0;
+    std::size_t n = 1;
+    for (std::size_t i = first; i < close; ++i) n += record[i] == ',';
+    return n;
+}
+
+TEST(Pipeline, SpanPerFrameCarriesEveryStage) {
+    // Span stride 1 (what BLINKRADAR_TRACE means): every frame is
+    // minted, and each frame's record lists all eight stages.
     const sim::SimulatedSession s =
         simulate_session(reference_scenario(13, 10.0));
-    const std::string path = ::testing::TempDir() + "br_trace_test.jsonl";
+    const std::string path = ::testing::TempDir() + "br_span_test.jsonl";
     obs::MetricsRegistry registry;
     {
         obs::TraceSink sink(path);
-        BlinkRadarPipeline pipe(s.radar, PipelineConfig{}, &registry, &sink);
-        for (const auto& f : s.frames) pipe.process(f);
-        EXPECT_EQ(sink.lines_written(), s.frames.size());
+        obs::telemetry::SpanCollector spans(&sink);
+        BlinkRadarPipeline pipe(s.radar, PipelineConfig{}, &registry,
+                                nullptr, &spans);
+        for (std::size_t i = 0; i < s.frames.size(); ++i) {
+            radar::RadarFrame f = s.frames[i];
+            f.span_id = spans.mint(13, i);
+            pipe.process(f);
+        }
+        EXPECT_EQ(spans.completed(), s.frames.size());
+        EXPECT_EQ(spans.abandoned(), 0u);
     }
     std::ifstream in(path);
     std::string line;
     std::size_t lines = 0;
     while (std::getline(in, line)) {
+        EXPECT_NE(line.find("\"seq\":" + std::to_string(lines) + ","),
+                  std::string::npos)
+            << line;
+        EXPECT_EQ(span_stage_count(line), kNumPipelineStages - 1) << line;
         ++lines;
-        EXPECT_EQ(line.front(), '{');
-        EXPECT_EQ(line.back(), '}');
-        EXPECT_NE(line.find("\"stages_ns\""), std::string::npos);
     }
     EXPECT_EQ(lines, s.frames.size());
     std::remove(path.c_str());
+}
+
+TEST(Pipeline, UninstrumentedSpanListsNoStages) {
+    // Without a registry nothing is timed: the span must not claim
+    // stage-end times (they would all read the pump stamp).
+    const sim::SimulatedSession s =
+        simulate_session(reference_scenario(13, 4.0));
+    obs::telemetry::SpanCollector spans;
+    BlinkRadarPipeline pipe(s.radar, PipelineConfig{}, nullptr, nullptr,
+                            &spans);
+    for (std::size_t i = 0; i < s.frames.size(); ++i) {
+        radar::RadarFrame f = s.frames[i];
+        f.span_id = spans.mint(13, i);
+        pipe.process(f);
+        ASSERT_NE(spans.last_record().find("\"stage_ns\":[]"),
+                  std::string::npos)
+            << spans.last_record();
+    }
+    EXPECT_EQ(spans.completed(), s.frames.size());
 }
 
 TEST(PhaseWaveform, AmplitudeRampDoesNotRescaleAccumulatedPhase) {

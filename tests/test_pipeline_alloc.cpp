@@ -158,7 +158,7 @@ TEST(PipelineAllocation, FlightRecorderFramePathIsAllocationFree) {
     rec_cfg.metrics_interval_frames = 64;
     rec_cfg.checkpoint_interval_frames = 64;
     obs::FlightRecorder recorder(rec_cfg);
-    BlinkRadarPipeline pipeline(s.radar, cfg, nullptr, nullptr, &recorder);
+    BlinkRadarPipeline pipeline(s.radar, cfg, nullptr, &recorder);
 
     const std::size_t warmup = 400;
     const std::size_t measured = 250;

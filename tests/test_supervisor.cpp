@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "core/recovery_ladder.hpp"
 #include "core/supervisor.hpp"
 #include "physio/driver_profile.hpp"
 #include "sim/scenario.hpp"
@@ -156,9 +157,6 @@ TEST(Supervisor, CrashStormClimbsTheFullLadder) {
         simulate_session(reference_scenario(25, 30.0));
     SupervisorConfig config;
     config.snapshot_interval_frames = 50;
-    config.max_warm_restores = 2;
-    config.backoff_base_frames = 4;
-    config.backoff_cap_frames = 32;
     config.stall_timeout_s = 0.0;
     Supervisor sup(s.radar, {}, config);
     // Every attempt in a 150-frame window faults: retries fail, warm
@@ -170,7 +168,7 @@ TEST(Supervisor, CrashStormClimbsTheFullLadder) {
     }
     const SupervisorStats& st = sup.stats();
     EXPECT_GT(st.frame_faults, 0u);
-    EXPECT_EQ(st.warm_restores, 2u);  // the configured ladder budget
+    EXPECT_EQ(st.warm_restores, kMaxWarmRestores);  // the ladder budget
     EXPECT_GT(st.backoff_skipped, 0u);
     EXPECT_GE(st.cold_restarts, 1u);
     // After the storm the pipeline reconverges and detects again.
@@ -182,8 +180,6 @@ TEST(Supervisor, RecoveryScheduleIsDeterministic) {
         simulate_session(reference_scenario(26, 20.0));
     SupervisorConfig config;
     config.snapshot_interval_frames = 50;
-    config.max_warm_restores = 2;
-    config.backoff_base_frames = 4;
     config.seed = 99;
     config.stall_timeout_s = 0.0;
     SupervisorStats runs[2];
@@ -204,9 +200,6 @@ TEST(Supervisor, CorruptNewestSlotFallsBackToOlderSlot) {
     config.snapshot_interval_frames = 100;
     config.snapshot_dir = dir;
     config.snapshot_basename = "slot_fallback_test";
-    config.max_warm_restores = 1;
-    config.backoff_base_frames = 2;
-    config.backoff_cap_frames = 4;
     config.stall_timeout_s = 0.0;
     Supervisor sup(s.radar, {}, config);
 
@@ -235,7 +228,8 @@ TEST(Supervisor, CorruptNewestSlotFallsBackToOlderSlot) {
     const SupervisorStats& st = sup.stats();
     EXPECT_GE(st.cold_restarts, 1u);
     EXPECT_GE(st.restore_failures, 1u);  // the corrupted slot1
-    EXPECT_GE(st.warm_restores, 2u);     // memory first, then disk
+    // Memory for the whole first climb, then disk after the cold restart.
+    EXPECT_GE(st.warm_restores, kMaxWarmRestores + 1);
 }
 
 TEST(Supervisor, DirectorySlotsFallThroughToColdRestart) {
@@ -249,9 +243,6 @@ TEST(Supervisor, DirectorySlotsFallThroughToColdRestart) {
     config.snapshot_interval_frames = 100;
     config.snapshot_dir = dir;
     config.snapshot_basename = "slot_dir_test";
-    config.max_warm_restores = 1;
-    config.backoff_base_frames = 2;
-    config.backoff_cap_frames = 4;
     config.stall_timeout_s = 0.0;
     const std::string slots[2] = {dir + "/slot_dir_test.slot0.snap",
                                   dir + "/slot_dir_test.slot1.snap"};
