@@ -41,7 +41,9 @@ int main() {
     const std::size_t eye_bin = static_cast<std::size_t>(0.40 / cfg.bin_spacing_m);
 
     dsp::ComplexSignal quiet, blinking;
-    std::vector<dsp::ComplexSignal> window;
+    // Fig. 10b's window: the first 250 frames, tracked the way the
+    // pipeline tracks its selection window.
+    core::RollingBinVariance window(cfg.n_bins());
     for (const radar::RadarFrame& f : session.frames) {
         const dsp::ComplexSignal sub = background.process(pre.apply(f).bins);
         const double closure =
@@ -50,7 +52,7 @@ int main() {
             quiet.push_back(sub[eye_bin]);
         else
             blinking.push_back(sub[eye_bin]);
-        if (window.size() < 250) window.push_back(sub);
+        if (window.count() < 250) window.push(sub);
     }
 
     // Head movement only: samples should hug a circle (small residual);
@@ -72,8 +74,8 @@ int main() {
                 blink_radial, blink_radial / arc.rms_residual);
 
     eval::banner(std::cout, "Fig. 10b: eye-bin variance vs noise bins");
-    const core::BinSelector selector(cfg, pc);
-    const std::vector<double> variances = selector.bin_variances(window);
+    std::vector<double> variances;
+    window.variances_into(variances);
     double noise_floor = 0.0;
     std::size_t n = 0;
     for (std::size_t b = static_cast<std::size_t>(1.2 / cfg.bin_spacing_m);

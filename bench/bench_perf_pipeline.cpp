@@ -204,11 +204,29 @@ void BM_PreprocessFrame(benchmark::State& state) {
 BENCHMARK(BM_PreprocessFrame);
 
 void BM_BinSelection(benchmark::State& state) {
+    // One selection pass as the pipeline runs it: a 250-frame window of
+    // I/Q planes, with the per-bin variances already tracked.
     const auto& s = session();
     const core::BinSelector selector(s.radar, core::PipelineConfig{});
-    std::vector<dsp::ComplexSignal> window;
-    for (std::size_t i = 100; i < 350; ++i) window.push_back(s.frames[i].bins);
-    for (auto _ : state) benchmark::DoNotOptimize(selector.select(window));
+    std::vector<dsp::IqPlanes> frames(250);
+    std::vector<const dsp::IqPlanes*> window;
+    core::RollingBinVariance rolling(s.radar.n_bins());
+    for (std::size_t t = 0; t < frames.size(); ++t) {
+        const dsp::ComplexSignal& bins = s.frames[100 + t].bins;
+        frames[t].resize(bins.size());
+        for (std::size_t b = 0; b < bins.size(); ++b) {
+            frames[t].i[b] = bins[b].real();
+            frames[t].q[b] = bins[b].imag();
+        }
+        window.push_back(&frames[t]);
+        rolling.push(bins);
+    }
+    std::vector<double> variances;
+    rolling.variances_into(variances);
+    core::BinSelector::SelectScratch scratch;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            selector.select_soa(window, variances, scratch));
 }
 BENCHMARK(BM_BinSelection);
 

@@ -119,14 +119,6 @@ void RollingBinVariance::restore_state(state::StateReader& reader) {
     reader.close_section();
 }
 
-std::vector<const dsp::ComplexSignal*> make_frame_view(
-    const std::vector<dsp::ComplexSignal>& window) {
-    std::vector<const dsp::ComplexSignal*> view;
-    view.reserve(window.size());
-    for (const dsp::ComplexSignal& f : window) view.push_back(&f);
-    return view;
-}
-
 BinSelector::BinSelector(const radar::RadarConfig& radar,
                          const PipelineConfig& config)
     : config_(config) {
@@ -141,55 +133,6 @@ BinSelector::BinSelector(const radar::RadarConfig& radar,
     BR_ENSURES(min_bin_ < max_bin_);
 }
 
-std::vector<double> BinSelector::bin_variances(FrameWindowView window) const {
-    BR_EXPECTS(!window.empty());
-    const std::size_t n_bins = window.front()->size();
-    for (const auto* f : window) BR_EXPECTS(f->size() == n_bins);
-
-    std::vector<double> variances(n_bins, 0.0);
-    dsp::ComplexSignal column(window.size());
-    for (std::size_t b = 0; b < n_bins; ++b) {
-        for (std::size_t t = 0; t < window.size(); ++t)
-            column[t] = (*window[t])[b];
-        variances[b] = dsp::scatter_variance(column);
-    }
-    return variances;
-}
-
-std::vector<double> BinSelector::bin_variances(
-    const std::vector<dsp::ComplexSignal>& window) const {
-    return bin_variances(FrameWindowView(make_frame_view(window)));
-}
-
-std::optional<BinSelection> BinSelector::select(FrameWindowView window) const {
-    BR_EXPECTS(window.size() >= 8);
-    switch (config_.selection_mode) {
-        case BinSelectionMode::kArcVariance:
-            return select_arc_variance(window, bin_variances(window));
-        case BinSelectionMode::kMaxPower:
-            return select_max_power(window);
-    }
-    return std::nullopt;
-}
-
-std::optional<BinSelection> BinSelector::select(
-    FrameWindowView window, std::span<const double> variances) const {
-    BR_EXPECTS(window.size() >= 8);
-    BR_EXPECTS(!window.empty() && variances.size() == window.front()->size());
-    switch (config_.selection_mode) {
-        case BinSelectionMode::kArcVariance:
-            return select_arc_variance(window, variances);
-        case BinSelectionMode::kMaxPower:
-            return select_max_power(window);
-    }
-    return std::nullopt;
-}
-
-std::optional<BinSelection> BinSelector::select(
-    const std::vector<dsp::ComplexSignal>& window) const {
-    return select(FrameWindowView(make_frame_view(window)));
-}
-
 std::optional<BinSelection> BinSelector::select_soa(
     SoaWindowView window, std::span<const double> variances,
     SelectScratch& scratch) const {
@@ -198,7 +141,8 @@ std::optional<BinSelection> BinSelector::select_soa(
     if (config_.selection_mode == BinSelectionMode::kMaxPower)
         return select_max_power_soa(window, scratch.column);
 
-    // Significance gate, as in select_arc_variance but allocation-free.
+    // Significance gate: candidate bins must stand clearly above the
+    // median bin variance (which is dominated by thermal noise).
     scratch.in_range.assign(
         variances.begin() + static_cast<std::ptrdiff_t>(min_bin_),
         variances.begin() + static_cast<std::ptrdiff_t>(max_bin_ + 1));
@@ -210,15 +154,16 @@ std::optional<BinSelection> BinSelector::select_soa(
         if (variances[b] > significance) scratch.candidates.push_back(b);
     if (scratch.candidates.empty()) return std::nullopt;
 
-    // Cap the fits per pass. The uncapped scalar select() occasionally
-    // fits dozens of bins when the scene is busy (the 4 ms bin_selection
-    // spikes), and most of those fits are the chest's rotation bins —
-    // which dominate by raw variance and which the arc gates reject
-    // anyway. So: fit in descending-variance order but count only
-    // candidates that *survive* the gates against the cap, stopping once
-    // top_candidates arc-like bins have been scored. A cap on raw
-    // variance rank would instead spend the whole budget on the chest
-    // and never reach the eye bins at all.
+    // Cap the fits per pass. Fitting every significant bin costs dozens
+    // of fits when the scene is busy (up to 4 ms per pass), and most of
+    // those fits are the chest's rotation bins — which dominate by raw
+    // variance and which the arc gates reject anyway. So: fit in
+    // descending-variance order but count only candidates that *survive*
+    // the gates against the cap, stopping once kTopCandidates arc-like
+    // bins have been scored. A cap on raw variance rank would instead
+    // spend the whole budget on the chest and never reach the eye bins
+    // at all. Among gated bins the highest score wins: the arc-explained
+    // variance ratio variance / residual^2 (scale-invariant thinness).
     std::sort(scratch.candidates.begin(), scratch.candidates.end(),
               [&variances](std::size_t a, std::size_t b) {
                   return variances[a] != variances[b]
@@ -232,10 +177,11 @@ std::optional<BinSelection> BinSelector::select_soa(
             score_bin_soa(window, b, scratch.column);
         if (!sel) continue;
         if (!best_gated || sel->score > best_gated->score) best_gated = sel;
-        if (config_.top_candidates > 0 &&
-            ++gated >= config_.top_candidates)
-            break;
+        if (++gated >= kTopCandidates) break;
     }
+    // No fallback: if nothing in view traces a clean partial arc (e.g. the
+    // cabin is empty, or the driver is mid-posture-shift), report no
+    // selection and let the caller stay in / return to cold start.
     if (!best_gated) return std::nullopt;
 
     // Local refinement: the early stop can cut the scan just short of the
@@ -273,8 +219,8 @@ namespace {
 // only ever grows, so any return value >= bail is interchangeable with
 // the full walk's for a caller that rejects at bail — which lets the
 // selection hot path drop a rotating chest bin after ~a dozen atan2
-// calls instead of walking the whole window (the dominant cost of the
-// uncapped 4 ms selection spikes). Accepted bins always complete the
+// calls instead of walking the whole window (the dominant cost of a
+// selection pass over a busy scene). Accepted bins always complete the
 // full (bit-identical) walk.
 double angular_extent(const dsp::ComplexSignal& column,
                       const dsp::CircleFit& fit, double bail) {
@@ -302,50 +248,6 @@ double angular_extent(const dsp::ComplexSignal& column,
 
 }  // namespace
 
-std::optional<BinSelection> BinSelector::select_arc_variance(
-    FrameWindowView window, std::span<const double> variances) const {
-    // Significance gate: candidate bins must stand clearly above the
-    // median bin variance (which is dominated by thermal noise).
-    std::vector<double> in_range(variances.begin() + static_cast<std::ptrdiff_t>(min_bin_),
-                                 variances.begin() + static_cast<std::ptrdiff_t>(max_bin_ + 1));
-    const double floor = dsp::median(in_range);
-    const double significance = floor * config_.min_variance_factor;
-
-    std::vector<std::size_t> candidates;
-    for (std::size_t b = min_bin_; b <= max_bin_; ++b)
-        if (variances[b] > significance) candidates.push_back(b);
-    if (candidates.empty()) return std::nullopt;
-
-    // Arc-fit every significant bin (fits are cheap: ~50 points each).
-    // Two-pass scoring:
-    //  - gate on "true arc": total angular travel around the centre under
-    //    a full turn (eye/face micro-motion) rather than the chest's
-    //    multi-turn rotation, and
-    //  - among gated bins, maximise the arc-explained variance ratio
-    //    variance / residual^2 (scale-invariant thinness), tie-broken by
-    //    variance through the product below.
-    std::optional<BinSelection> best_gated;
-    for (const std::size_t b : candidates) {
-        const std::optional<BinSelection> sel = score_bin(window, b);
-        if (!sel) continue;
-        if (!best_gated || sel->score > best_gated->score) best_gated = sel;
-    }
-    // No fallback: if nothing in view traces a clean partial arc (e.g. the
-    // cabin is empty, or the driver is mid-posture-shift), report no
-    // selection and let the caller stay in / return to cold start.
-    return best_gated;
-}
-
-std::optional<BinSelection> BinSelector::score_bin(FrameWindowView window,
-                                                   std::size_t bin) const {
-    BR_EXPECTS(!window.empty());
-    BR_EXPECTS(bin < window.front()->size());
-    dsp::ComplexSignal column(window.size());
-    for (std::size_t t = 0; t < window.size(); ++t)
-        column[t] = (*window[t])[bin];
-    return score_column(column, bin);
-}
-
 std::optional<BinSelection> BinSelector::score_bin_soa(
     SoaWindowView window, std::size_t bin,
     dsp::ComplexSignal& column_scratch) const {
@@ -354,56 +256,22 @@ std::optional<BinSelection> BinSelector::score_bin_soa(
     column_scratch.resize(window.size());
     for (std::size_t t = 0; t < window.size(); ++t)
         column_scratch[t] = window[t]->at(bin);
-    return score_column(column_scratch, bin);
-}
-
-std::optional<BinSelection> BinSelector::score_column(
-    const dsp::ComplexSignal& column, std::size_t bin) const {
-    const dsp::CircleFit fit = dsp::fit_circle_pratt(column);
+    const dsp::CircleFit fit = dsp::fit_circle_pratt(column_scratch);
     if (!fit.ok || fit.radius <= 0.0) return std::nullopt;
     // Gates are conjunctive, so ordering is free — run the O(n)
     // multiply-add radius gate before the atan2-heavy extent walk.
     // Radius plausibility: a short noisy arc lets the algebraic fit run
     // away to an enormous circle; such a fit explains nothing about the
     // dynamic vector and must not be allowed to win on any score.
-    const double var = dsp::scatter_variance(column);
+    const double var = dsp::scatter_variance(column_scratch);
     const double spread = std::sqrt(var);
     if (fit.radius > 8.0 * spread || fit.radius < 0.5 * spread)
         return std::nullopt;
-    const double extent = angular_extent(column, fit, constants::kPi);
+    const double extent = angular_extent(column_scratch, fit, constants::kPi);
     if (extent >= constants::kPi || extent <= 1e-3) return std::nullopt;
     const double score =
         var / (fit.rms_residual * fit.rms_residual + 1e-9 * var);
     return BinSelection{bin, var, score, fit};
-}
-
-std::optional<BinSelection> BinSelector::score_bin(
-    const std::vector<dsp::ComplexSignal>& window, std::size_t bin) const {
-    return score_bin(FrameWindowView(make_frame_view(window)), bin);
-}
-
-std::optional<BinSelection> BinSelector::select_max_power(
-    FrameWindowView window) const {
-    const std::size_t n_bins = window.front()->size();
-    std::size_t best_bin = min_bin_;
-    double best_power = -1.0;
-    for (std::size_t b = min_bin_; b <= max_bin_ && b < n_bins; ++b) {
-        double acc = 0.0;
-        for (const auto* f : window) acc += std::norm((*f)[b]);
-        if (acc > best_power) {
-            best_power = acc;
-            best_bin = b;
-        }
-    }
-    dsp::ComplexSignal column(window.size());
-    for (std::size_t t = 0; t < window.size(); ++t)
-        column[t] = (*window[t])[best_bin];
-    BinSelection sel;
-    sel.bin = best_bin;
-    sel.variance = dsp::scatter_variance(column);
-    sel.fit = dsp::fit_circle_pratt(column);
-    sel.score = best_power;
-    return sel;
 }
 
 std::optional<BinSelection> BinSelector::select_max_power_soa(

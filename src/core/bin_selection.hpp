@@ -35,12 +35,10 @@ struct BinSelection {
     dsp::CircleFit fit;             ///< the candidate's arc fit
 };
 
-/// Non-owning view of a slow-time window of frames (outer index = slow
-/// time, inner = bins). A span of frame pointers rather than of frames so
-/// ring-buffer-backed windows can be viewed without copying frame data.
-using FrameWindowView = std::span<const dsp::ComplexSignal* const>;
-
-/// Same, over structure-of-arrays frames (the SoA frame path's window).
+/// Non-owning view of a slow-time window of structure-of-arrays frames
+/// (outer index = slow time, inner = bins). A span of frame pointers
+/// rather than of frames so the pipeline's ring-buffer window is viewed
+/// without copying frame data.
 using SoaWindowView = std::span<const dsp::IqPlanes* const>;
 
 /// Incremental per-bin 2-D I/Q scatter variance over a sliding window.
@@ -111,23 +109,17 @@ private:
     std::size_t count_ = 0;
 };
 
+/// Selection cap: select_soa() stops fitting once this many candidates
+/// have survived the arc gates (see there). A design constant, not a
+/// tunable: flight dumps record it, and only this value replays.
+inline constexpr std::size_t kTopCandidates = 5;
+
 /// Selects the blink-carrying bin from a slow-time window of
 /// (background-subtracted) frames. Stateless: const methods are safe to
 /// call from multiple threads.
 class BinSelector {
 public:
     BinSelector(const radar::RadarConfig& radar, const PipelineConfig& config);
-
-    /// Evaluate a window of frames (all frames must share the bin
-    /// count). Returns std::nullopt when no bin shows significant dynamic
-    /// content (e.g. an empty seat).
-    std::optional<BinSelection> select(FrameWindowView window) const;
-
-    /// Same, with per-bin variances already computed (e.g. by a
-    /// RollingBinVariance tracked alongside the window) so selection
-    /// skips the O(bins * window) recomputation.
-    std::optional<BinSelection> select(FrameWindowView window,
-                                       std::span<const double> variances) const;
 
     /// Caller-owned scratch for select_soa() so the periodic reselection
     /// pass allocates nothing once warmed up.
@@ -137,39 +129,24 @@ public:
         dsp::ComplexSignal column;
     };
 
-    /// Allocation-free SoA-window selection for the vector frame path.
-    /// Unlike select(), the fit fan-out is capped: candidates are fitted
-    /// in descending-variance order until config.top_candidates of them
-    /// survive the arc gates, then a short hill-climb refines to the
-    /// local score maximum — bounding the worst-case fits per pass while
-    /// still skipping past the high-variance rotation (chest) bins the
-    /// gates reject. The scalar select() stays uncapped as the
-    /// reference; per-candidate scoring is identical.
+    /// Evaluate a window of frames (all frames must share the bin count
+    /// and `variances` holds one scatter variance per bin, e.g. from a
+    /// RollingBinVariance tracked alongside the window). Returns
+    /// std::nullopt when no bin shows significant dynamic content (e.g.
+    /// an empty seat). Allocation-free once `scratch` is warmed up. The
+    /// fit fan-out is capped: candidates are fitted in descending-variance
+    /// order until kTopCandidates of them survive the arc gates, then a
+    /// short hill-climb refines to the local score maximum — bounding the
+    /// worst-case fits per pass while still skipping past the
+    /// high-variance rotation (chest) bins the gates reject.
     std::optional<BinSelection> select_soa(SoaWindowView window,
                                            std::span<const double> variances,
                                            SelectScratch& scratch) const;
 
-    /// Convenience overload for contiguous windows (tests/benches).
-    std::optional<BinSelection> select(
-        const std::vector<dsp::ComplexSignal>& window) const;
-
-    /// Per-bin 2-D scatter variance over the window (exposed for the
-    /// Fig. 10b bench and tests).
-    std::vector<double> bin_variances(FrameWindowView window) const;
-    std::vector<double> bin_variances(
-        const std::vector<dsp::ComplexSignal>& window) const;
-
     /// Score one bin under the arc criterion (variance, arc fit and
-    /// thinness score). Returns std::nullopt when the bin's trajectory is
-    /// not a clean partial arc. Used for switch hysteresis.
-    std::optional<BinSelection> score_bin(FrameWindowView window,
-                                          std::size_t bin) const;
-    std::optional<BinSelection> score_bin(
-        const std::vector<dsp::ComplexSignal>& window, std::size_t bin) const;
-
-    /// SoA-window variant of score_bin: gathers the bin's slow-time
-    /// column into `column_scratch` and applies the identical fit, gates
-    /// and score.
+    /// thinness score), gathering the bin's slow-time column into
+    /// `column_scratch`. Returns std::nullopt when the bin's trajectory
+    /// is not a clean partial arc. Used for switch hysteresis.
     std::optional<BinSelection> score_bin_soa(
         SoaWindowView window, std::size_t bin,
         dsp::ComplexSignal& column_scratch) const;
@@ -178,23 +155,12 @@ public:
     std::size_t max_bin() const noexcept { return max_bin_; }
 
 private:
-    std::optional<BinSelection> select_arc_variance(
-        FrameWindowView window, std::span<const double> variances) const;
-    std::optional<BinSelection> select_max_power(FrameWindowView window) const;
     std::optional<BinSelection> select_max_power_soa(
         SoaWindowView window, dsp::ComplexSignal& column_scratch) const;
-    /// The fit/gate/score sequence shared by every score_bin variant.
-    std::optional<BinSelection> score_column(const dsp::ComplexSignal& column,
-                                             std::size_t bin) const;
 
     PipelineConfig config_;
     std::size_t min_bin_;
     std::size_t max_bin_;
 };
-
-/// Build the pointer view a contiguous window presents (helper for the
-/// convenience overloads; allocates, so not for the per-frame path).
-std::vector<const dsp::ComplexSignal*> make_frame_view(
-    const std::vector<dsp::ComplexSignal>& window);
 
 }  // namespace blinkradar::core

@@ -1,7 +1,6 @@
 #include "core/movement_detector.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -21,7 +20,6 @@ MovementDetector::MovementDetector(const PipelineConfig& config,
 }
 
 void MovementDetector::reset() {
-    previous_.clear();
     previous_soa_.clear();
     diffs_.clear();
     sorted_diffs_.clear();
@@ -47,10 +45,7 @@ constexpr std::uint16_t kMovementVersion = 1;
 
 void MovementDetector::save_state(state::StateWriter& writer) const {
     writer.begin_section(kMovementTag, kMovementVersion);
-    if (soa_)
-        writer.write_complex_planes(previous_soa_.i, previous_soa_.q);
-    else
-        writer.write_complex_span(previous_);
+    writer.write_complex_planes(previous_soa_.i, previous_soa_.q);
     writer.write_size(diffs_.size());
     for (std::size_t i = 0; i < diffs_.size(); ++i)
         writer.write_f64(diffs_[i]);
@@ -65,8 +60,7 @@ void MovementDetector::restore_state(state::StateReader& reader) {
             "MOVD: snapshot section version " + std::to_string(version) +
             " is newer than this build supports (" +
             std::to_string(kMovementVersion) + ")");
-    dsp::ComplexSignal previous;
-    reader.read_complex_into(previous);
+    reader.read_complex_planes_into(previous_soa_.i, previous_soa_.q);
     const std::size_t n_diffs = reader.read_size();
     if (n_diffs > diffs_.capacity())
         throw state::SnapshotError(
@@ -76,32 +70,9 @@ void MovementDetector::restore_state(state::StateReader& reader) {
     diffs_.clear();
     for (std::size_t i = 0; i < n_diffs; ++i)
         diffs_.push_back(reader.read_f64());
-    previous_ = std::move(previous);
-    // Fill both representations so either frame path continues bit-exactly
-    // from the restore; the next push()/push_soa() re-establishes soa_.
-    previous_soa_.resize(previous_.size());
-    for (std::size_t b = 0; b < previous_.size(); ++b) {
-        previous_soa_.i[b] = previous_[b].real();
-        previous_soa_.q[b] = previous_[b].imag();
-    }
     last_diff_ = reader.read_f64();
     rebuild_sorted();
     reader.close_section();
-}
-
-bool MovementDetector::push(const dsp::ComplexSignal& frame) {
-    BR_EXPECTS(!frame.empty());
-    if (previous_.size() != frame.size()) {
-        previous_.assign(frame.begin(), frame.end());
-        soa_ = false;
-        return false;
-    }
-    double diff = 0.0;
-    for (std::size_t b = 0; b < frame.size(); ++b)
-        diff += std::norm(frame[b] - previous_[b]);
-    previous_.assign(frame.begin(), frame.end());  // same size: no realloc
-    soa_ = false;
-    return judge_and_record(diff);
 }
 
 bool MovementDetector::push_soa(const dsp::IqPlanes& frame,
@@ -109,7 +80,6 @@ bool MovementDetector::push_soa(const dsp::IqPlanes& frame,
     BR_EXPECTS(!frame.empty());
     if (previous_soa_.size() != frame.size()) {
         previous_soa_ = frame;
-        soa_ = true;
         return false;
     }
     const double diff = kernels.movement_energy(
@@ -117,7 +87,6 @@ bool MovementDetector::push_soa(const dsp::IqPlanes& frame,
         previous_soa_.q.data(), frame.size());
     previous_soa_.i.assign(frame.i.begin(), frame.i.end());
     previous_soa_.q.assign(frame.q.begin(), frame.q.end());
-    soa_ = true;
     return judge_and_record(diff);
 }
 

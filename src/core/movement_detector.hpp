@@ -24,14 +24,10 @@ class MovementDetector {
 public:
     MovementDetector(const PipelineConfig& config, double frame_rate_hz);
 
-    /// Feed one frame; true when a large movement is detected.
-    bool push(const dsp::ComplexSignal& frame);
-
-    /// Structure-of-arrays variant: identical judgement logic with the
-    /// difference energy computed by `kernels`. The kernel's fixed-stripe
-    /// reduction order differs from push()'s single accumulator, so the
-    /// two variants agree only to rounding. The pipeline runs this one;
-    /// push() remains as the reference the kernel tests compare against.
+    /// Feed one frame (I/Q planes); true when a large movement is
+    /// detected. The difference energy against the previous frame is
+    /// computed by `kernels` (fixed four-stripe reduction, bit-identical
+    /// on every backend).
     bool push_soa(const dsp::IqPlanes& frame,
                   const dsp::KernelTable& kernels);
 
@@ -48,15 +44,14 @@ public:
 
 private:
     double median_difference() const;
-    /// Shared tail of push()/push_soa(): record `diff`, judge against the
-    /// rolling median, grow the history on non-triggered frames.
+    /// Record `diff`, judge it against the rolling median, grow the
+    /// history on non-triggered frames.
     bool judge_and_record(double diff);
     /// Rebuild the sorted mirror from the ring (restore/reset paths).
     void rebuild_sorted();
 
     PipelineConfig config_;
     std::size_t window_frames_;
-    dsp::ComplexSignal previous_;
     dsp::IqPlanes previous_soa_;
     RingBuffer<double> diffs_;
     /// diffs_ kept in ascending order, maintained incrementally by
@@ -66,10 +61,6 @@ private:
     /// of the same multiset.
     std::vector<double> sorted_diffs_;
     double last_diff_ = 0.0;
-    /// True when the held frame lives in previous_soa_ (last fed via
-    /// push_soa()); save_state() interleaves so the MOVD wire format is
-    /// representation-independent.
-    bool soa_ = false;
 };
 
 }  // namespace blinkradar::core

@@ -3,7 +3,9 @@
 // Defaults implement the paper's published choices (order-26 Hamming FIR,
 // 5 sigma LEVD threshold, 50-chirp / 2 s cold start, Pratt arc fitting);
 // the enum knobs select the ablation baselines evaluated in
-// bench_ablation_detectors.
+// bench_ablation_detectors. Design constants that no caller tunes stay
+// next to the code that uses them: the bin-selection fit cap is
+// core::kTopCandidates (core/bin_selection.hpp).
 #pragma once
 
 #include <cstddef>
@@ -100,9 +102,6 @@ struct PipelineConfig {
     Meters selection_min_range_m = 0.10;  ///< exclude direct leakage
     Meters selection_max_range_m = 1.00;  ///< exclude far clutter
     double min_variance_factor = 5.0;     ///< significance over median bin
-    /// Selection cap: stop fitting once this many candidates survived
-    /// the arc gates (0 = uncapped). See BinSelector::select_soa.
-    std::size_t top_candidates = 5;
     /// Slow-time frames per selection pass (the most recent ones).
     std::size_t selection_window_frames = 100;
 

@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/bin_selection.hpp"
 #include "core/pipeline.hpp"
 
 namespace blinkradar::core {
@@ -76,7 +77,7 @@ void save_flight_configs(state::StateWriter& writer,
     writer.write_f64(pipeline.selection_min_range_m);
     writer.write_f64(pipeline.selection_max_range_m);
     writer.write_f64(pipeline.min_variance_factor);
-    writer.write_u64(pipeline.top_candidates);
+    writer.write_u64(kTopCandidates);
     writer.write_u64(pipeline.selection_window_frames);
     writer.write_u8(static_cast<std::uint8_t>(pipeline.fit_method));
     writer.write_u64(pipeline.cold_start_frames);
@@ -145,7 +146,16 @@ FlightConfigs load_flight_configs(state::StateReader& reader) {
     c.pipeline.selection_min_range_m = reader.read_f64();
     c.pipeline.selection_max_range_m = reader.read_f64();
     c.pipeline.min_variance_factor = reader.read_f64();
-    c.pipeline.top_candidates = reader.read_size();
+    // The bin-selection cap was a PipelineConfig setting and is now the
+    // constant kTopCandidates; a dump recorded with another cap cannot be
+    // replayed.
+    const std::size_t top_candidates = reader.read_size();
+    if (top_candidates != kTopCandidates)
+        throw state::SnapshotError(
+            "FRCF: dump was recorded with top_candidates " +
+            std::to_string(top_candidates) + ", but this build's selection "
+            "cap is fixed at " + std::to_string(kTopCandidates) +
+            " and cannot replay it");
     c.pipeline.selection_window_frames = reader.read_size();
     c.pipeline.fit_method =
         read_enum(reader, "fit_method", CircleFitMethod::kTaubin);
@@ -281,8 +291,7 @@ ReplayReport replay_flight_dump(const DecodedDump& dump) {
     const obs::FlightDump& flight = dump.flight;
 
     if (flight.raw.empty()) {
-        report.ok = true;
-        report.note = "no raw frames captured; nothing to replay";
+        report.note = "no raw frames captured: nothing was verified";
         return report;
     }
 
@@ -411,12 +420,18 @@ ReplayReport replay_flight_dump(const DecodedDump& dump) {
         ++report.taps_compared;
     }
 
-    report.ok = report.mismatch_count == 0;
-    report.note =
-        report.ok
-            ? "replay verified: every recorded tap reproduced bit-identically"
-            : std::to_string(report.mismatch_count) +
-                  " field(s) diverged from the recorded taps";
+    if (report.mismatch_count != 0) {
+        report.note = std::to_string(report.mismatch_count) +
+                      " field(s) diverged from the recorded taps";
+    } else if (report.taps_compared == 0) {
+        // A base that covers the ring but leaves no tap to compare (e.g.
+        // the newest checkpoint is the newest frame) proves nothing.
+        report.note = "no recorded tap was compared: nothing was verified";
+    } else {
+        report.ok = true;
+        report.note =
+            "replay verified: every recorded tap reproduced bit-identically";
+    }
     return report;
 }
 

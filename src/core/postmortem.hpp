@@ -100,7 +100,7 @@ struct ReplayMismatch {
 
 /// Outcome of replaying a dump (see replay_flight_dump).
 struct ReplayReport {
-    bool ok = false;           ///< base found and zero mismatches
+    bool ok = false;  ///< base found, 1+ taps compared, zero mismatches
     std::string note;          ///< human-readable outcome summary
     std::uint64_t base_seq = 0;///< first replay base (0 = cold pipeline)
     bool from_cold = false;    ///< replay started from a cold pipeline
@@ -119,7 +119,8 @@ struct ReplayReport {
 /// tap. Never throws for divergence — the report carries the verdict;
 /// state::SnapshotError from a damaged nested checkpoint, and configs
 /// the pipeline constructor rejects, are reported as ok = false with the
-/// error in `note`.
+/// error in `note`. A dump that verifies nothing (no raw frames, or no
+/// tap compared) is ok = false too.
 ReplayReport replay_flight_dump(const DecodedDump& dump);
 
 }  // namespace blinkradar::core

@@ -5,8 +5,7 @@
 namespace blinkradar::dsp {
 
 LoopbackFilter::LoopbackFilter(std::size_t n_bins, double alpha)
-    : background_(n_bins, Complex(0.0, 0.0)),
-      bg_i_(n_bins, 0.0),
+    : bg_i_(n_bins, 0.0),
       bg_q_(n_bins, 0.0),
       alpha_(alpha) {
     BR_EXPECTS(n_bins >= 1);
@@ -21,36 +20,33 @@ ComplexSignal LoopbackFilter::process(std::span<const Complex> frame) {
 
 void LoopbackFilter::process_into(std::span<const Complex> frame,
                                   ComplexSignal& out) {
-    BR_EXPECTS(frame.size() == background_.size());
+    BR_EXPECTS(frame.size() == bg_i_.size());
     BR_EXPECTS(frame.data() != out.data());
     if (!primed_) {
         // Seed the background with the first frame so start-up output is
         // clutter-free immediately instead of after ~1/alpha frames.
-        for (std::size_t b = 0; b < frame.size(); ++b) background_[b] = frame[b];
+        for (std::size_t b = 0; b < frame.size(); ++b) {
+            bg_i_[b] = frame[b].real();
+            bg_q_[b] = frame[b].imag();
+        }
         primed_ = true;
     }
     out.resize(frame.size());
     for (std::size_t b = 0; b < frame.size(); ++b) {
-        out[b] = frame[b] - background_[b];
-        background_[b] = (1.0 - alpha_) * background_[b] + alpha_ * frame[b];
+        const double x_i = frame[b].real();
+        const double x_q = frame[b].imag();
+        out[b] = Complex(x_i - bg_i_[b], x_q - bg_q_[b]);
+        bg_i_[b] = (1.0 - alpha_) * bg_i_[b] + alpha_ * x_i;
+        bg_q_[b] = (1.0 - alpha_) * bg_q_[b] + alpha_ * x_q;
     }
-    soa_ = false;
-}
-
-void LoopbackFilter::prime_soa(const IqPlanes& frame) {
-    BR_EXPECTS(frame.size() == background_.size());
-    bg_i_ = frame.i;
-    bg_q_ = frame.q;
-    primed_ = true;
-    soa_ = true;
 }
 
 void LoopbackFilter::begin_soa_frame(const IqPlanes& frame) {
-    if (!primed_) {
-        prime_soa(frame);
-        return;
-    }
-    soa_ = true;
+    BR_EXPECTS(frame.size() == bg_i_.size());
+    if (primed_) return;
+    bg_i_ = frame.i;
+    bg_q_ = frame.q;
+    primed_ = true;
 }
 
 void LoopbackFilter::reset() noexcept { primed_ = false; }
@@ -63,16 +59,7 @@ constexpr std::uint16_t kBackgroundVersion = 1;
 void LoopbackFilter::save_state(state::StateWriter& writer) const {
     writer.begin_section(kBackgroundTag, kBackgroundVersion);
     writer.write_bool(primed_);
-    if (soa_) {
-        // Interleave the SoA planes so the wire format is independent of
-        // which representation holds the live estimate.
-        save_scratch_.resize(bg_i_.size());
-        for (std::size_t b = 0; b < bg_i_.size(); ++b)
-            save_scratch_[b] = Complex(bg_i_[b], bg_q_[b]);
-        writer.write_complex_span(save_scratch_);
-    } else {
-        writer.write_complex_span(background_);
-    }
+    writer.write_complex_planes(bg_i_, bg_q_);
     writer.end_section();
 }
 
@@ -84,20 +71,17 @@ void LoopbackFilter::restore_state(state::StateReader& reader) {
             " is newer than this build supports (" +
             std::to_string(kBackgroundVersion) + ")");
     const bool primed = reader.read_bool();
-    ComplexSignal restored;
-    reader.read_complex_into(restored);
-    if (restored.size() != background_.size())
+    RealSignal bg_i;
+    RealSignal bg_q;
+    reader.read_complex_planes_into(bg_i, bg_q);
+    if (bg_i.size() != bg_i_.size())
         throw state::SnapshotError(
-            "BKGD: snapshot holds " + std::to_string(restored.size()) +
+            "BKGD: snapshot holds " + std::to_string(bg_i.size()) +
             " bins but the filter is configured for " +
-            std::to_string(background_.size()));
+            std::to_string(bg_i_.size()));
     primed_ = primed;
-    background_ = std::move(restored);
-    // Fill both representations so either frame path continues bit-exactly.
-    for (std::size_t b = 0; b < background_.size(); ++b) {
-        bg_i_[b] = background_[b].real();
-        bg_q_[b] = background_[b].imag();
-    }
+    bg_i_ = std::move(bg_i);
+    bg_q_ = std::move(bg_q);
     reader.close_section();
 }
 

@@ -16,10 +16,15 @@
 
 namespace blinkradar::dsp {
 
-/// Streaming exponential background estimator over complex range-bin
-/// frames. For each bin b: bg[b] <- (1-alpha)*bg[b] + alpha*x[b]; the
-/// returned frame is x - bg (computed against the *pre-update* background
-/// so a static scene converges to zero output).
+/// Streaming exponential background estimator over range-bin frames. For
+/// each bin b: bg[b] <- (1-alpha)*bg[b] + alpha*x[b]; the returned frame
+/// is x - bg (computed against the *pre-update* background so a static
+/// scene converges to zero output). The estimate is held once, as I/Q
+/// planes: the pipeline runs the update inside the fused SoA kernel (see
+/// dsp/frame_kernels.hpp) on bg_i()/bg_q(), and process_into() is the
+/// plain, unfused statement of the same update on interleaved frames,
+/// kept as the reference the kernel tests compare against. Both act on
+/// the one estimate, so they can be mixed on one filter.
 class LoopbackFilter {
 public:
     /// \param n_bins number of range bins per frame (>= 1).
@@ -35,28 +40,17 @@ public:
     /// (resized, reusing capacity; must not alias the input).
     void process_into(std::span<const Complex> frame, ComplexSignal& out);
 
-    /// Current background estimate (one complex value per bin).
-    const ComplexSignal& background() const noexcept { return background_; }
-
-    /// Whether the background has been seeded with a first frame. The
-    /// structure-of-arrays frame path (see dsp/frame_kernels.hpp) keeps
-    /// the estimate in I/Q planes and runs the exponential update inside
-    /// the fused kernel; it primes explicitly via prime_soa() and then
-    /// reads/writes the planes directly.
+    /// Whether the background has been seeded with a first frame.
     bool primed() const noexcept { return primed_; }
 
-    /// Seed the SoA background planes with `frame` (the first frame after
-    /// construction or reset()), mirroring the implicit priming of
-    /// process_into().
-    void prime_soa(const IqPlanes& frame);
-
-    /// Ensure the SoA planes hold the live estimate before the fused
-    /// kernel runs: primes from `frame` when unprimed, otherwise just
-    /// marks the planes live (they are already valid — filled by ongoing
-    /// SoA processing or by restore_state()).
+    /// Seed the background planes with `frame` when unprimed (the first
+    /// frame after construction or reset()), mirroring the implicit
+    /// priming of process_into(), so the planes hold the live estimate
+    /// before the fused kernel runs.
     void begin_soa_frame(const IqPlanes& frame);
 
-    /// SoA background planes for the fused kernel. Valid after prime_soa().
+    /// Background planes (one I and one Q value per bin), read and
+    /// updated in place by the fused kernel.
     RealSignal& bg_i() noexcept { return bg_i_; }
     RealSignal& bg_q() noexcept { return bg_q_; }
 
@@ -70,21 +64,14 @@ public:
     void save_state(state::StateWriter& writer) const;
     void restore_state(state::StateReader& reader);
 
-    std::size_t n_bins() const noexcept { return background_.size(); }
+    std::size_t n_bins() const noexcept { return bg_i_.size(); }
     double alpha() const noexcept { return alpha_; }
 
 private:
-    ComplexSignal background_;
     RealSignal bg_i_;
     RealSignal bg_q_;
     double alpha_;
     bool primed_ = false;
-    /// True when the live estimate is in the SoA planes (last primed via
-    /// prime_soa()), false when it is in background_. A filter only ever
-    /// uses one representation between snapshots; save_state() interleaves
-    /// the planes so the BKGD wire format is identical either way.
-    bool soa_ = false;
-    mutable ComplexSignal save_scratch_;
 };
 
 /// Batch background subtraction: subtract the per-bin slow-time mean from

@@ -16,8 +16,8 @@
 // butterfly. The backend choice (BLINKRADAR_SIMD_BACKEND) is therefore a
 // pure speed knob. The interleaved-complex component entry points these
 // kernels replace on the frame path (Preprocessor::apply_into,
-// MovementDetector::push, ...) agree with them only to rounding, because
-// the fused kernels reorder reductions; they remain as test references.
+// LoopbackFilter::process_into, ...) remain as test references; each
+// agrees with its kernel bit for bit.
 #pragma once
 
 #include <cstddef>

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "core/bin_selection.hpp"
 #include "core/postmortem.hpp"
 #include "core/supervisor.hpp"
 #include "obs/flight_recorder.hpp"
@@ -313,6 +314,45 @@ TEST(FlightReplay, ConfigsThePipelineRejectsAreReportedNotThrown) {
     EXPECT_EQ(report.frames_replayed, 0u);
 }
 
+TEST(FlightReplay, DumpWithoutRawFramesVerifiesNothing) {
+    // A recorder that captured no frame has nothing to replay; the
+    // verdict must not read as a verified replay.
+    obs::FlightRecorder rec(small_config());
+    const core::DecodedDump dump = core::decode_dump(core::make_flight_dump(
+        rec, radar::RadarConfig{}, core::PipelineConfig{}, "empty"));
+    ASSERT_TRUE(dump.flight.raw.empty());
+    const core::ReplayReport report = core::replay_flight_dump(dump);
+    EXPECT_FALSE(report.ok);
+    EXPECT_NE(report.note.find("nothing was verified"), std::string::npos)
+        << report.note;
+    EXPECT_EQ(report.taps_compared, 0u);
+}
+
+TEST(FlightReplay, BaseAtTheNewestFrameVerifiesNothing) {
+    // A checkpoint taken after the newest captured frame is a valid base
+    // that leaves no frame to replay and no tap to compare: the replay
+    // verified nothing, so it must not report ok.
+    const sim::SimulatedSession s = short_session(20.0);
+    obs::FlightRecorder recorder;
+    core::BlinkRadarPipeline pipeline(s.radar, {}, nullptr, &recorder);
+    for (const radar::RadarFrame& f : s.frames) pipeline.process(f);
+    state::StateWriter writer;
+    pipeline.save_state(writer);
+    recorder.note_checkpoint(writer.finish());
+
+    const core::DecodedDump dump = core::decode_dump(core::make_flight_dump(
+        recorder, s.radar, core::PipelineConfig{}, "base_at_newest"));
+    ASSERT_FALSE(dump.flight.raw.empty());
+    const core::ReplayReport report = core::replay_flight_dump(dump);
+    EXPECT_FALSE(report.ok);
+    EXPECT_NE(report.note.find("nothing was verified"), std::string::npos)
+        << report.note;
+    EXPECT_EQ(report.base_seq, dump.flight.raw.back().seq);
+    EXPECT_EQ(report.frames_replayed, 0u);
+    EXPECT_EQ(report.taps_compared, 0u);
+    EXPECT_EQ(report.mismatch_count, 0u);
+}
+
 TEST(FlightReplay, SupervisorCrashDumpReplaysBitIdentically) {
     // The acceptance path: a supervised session with injected crashes
     // auto-dumps at each fault; the dump must replay every captured
@@ -571,6 +611,50 @@ TEST(FlightDumpCorruption, RetiredMotionStageDumpsAreRejected) {
     std::vector<std::uint8_t> compensated = written;
     compensated[compensation_at] = 1;
     expect_rejected(compensated, "motion compensation");
+}
+
+TEST(FlightDumpCorruption, SelectionCapOtherThanTheConstantIsRejected) {
+    // FRCF keeps the u64 slot of the former top_candidates setting after
+    // min_variance_factor: 114 bytes before the retired veto slot (8 for
+    // the cap itself, then 106 bytes of selection, viewing and LEVD
+    // fields). A default dump writes kTopCandidates there.
+    state::StateWriter writer;
+    writer.defer_crcs();
+    core::save_flight_configs(writer, radar::RadarConfig{},
+                              core::PipelineConfig{});
+    const std::vector<std::uint8_t> written = writer.finish();
+    const std::size_t veto_at = written.size() - 5 - 49 - 16 - 1 - 8;
+    const std::size_t cap_at = veto_at - 114;
+    const auto u64_at = [&](std::size_t at) {
+        std::uint64_t v = 0;
+        for (std::size_t k = 0; k < 8; ++k)
+            v |= static_cast<std::uint64_t>(written[at + k]) << (8 * k);
+        return v;
+    };
+    ASSERT_EQ(u64_at(cap_at + 8),
+              core::PipelineConfig{}.selection_window_frames);
+    EXPECT_EQ(u64_at(cap_at), 5u);
+    EXPECT_EQ(core::kTopCandidates, 5u);
+
+    const auto load = [](std::vector<std::uint8_t> bytes) {
+        state::seal_section_crcs(bytes);
+        state::StateReader reader(bytes);
+        return core::load_flight_configs(reader);
+    };
+    EXPECT_NO_THROW(load(written));
+    for (const std::uint64_t cap : {std::uint64_t{0}, std::uint64_t{7}}) {
+        std::vector<std::uint8_t> bytes = written;
+        for (std::size_t k = 0; k < 8; ++k)
+            bytes[cap_at + k] = static_cast<std::uint8_t>(cap >> (8 * k));
+        try {
+            load(std::move(bytes));
+            ADD_FAILURE() << "a dump with top_candidates " << cap << " loaded";
+        } catch (const state::SnapshotError& e) {
+            EXPECT_NE(std::string(e.what()).find("top_candidates"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(FlightDumpCorruption, FuzzedMutationsNeverEscapeSnapshotError) {

@@ -252,6 +252,58 @@ TEST(SimdKernels, FusedBackgroundMatchesLegacySequenceBitExactly) {
     }
 }
 
+TEST(SimdKernels, ProcessIntoAndFusedKernelShareOneBackground) {
+    // LoopbackFilter holds its estimate once, so frames fed alternately
+    // through process_into() and the fused kernel continue one another
+    // exactly as a run that feeds every frame through the kernel.
+    Rng rng(11);
+    const double alpha = 0.05;
+    const KernelTable& kern = active_kernels();
+    for (const std::size_t n : kSizes) {
+        LoopbackFilter mixed(n, alpha);
+        LoopbackFilter fused(n, alpha);
+        const auto run_kernel = [&](LoopbackFilter& bg, const IqPlanes& x,
+                                    IqPlanes& sub) {
+            std::vector<double> si(n, 0.0), sq(n, 0.0), ssq(n, 0.0);
+            sub.resize(n);
+            bg.begin_soa_frame(x);
+            kern.background_var_fused(x.i.data(), x.q.data(), n, alpha,
+                                      bg.bg_i().data(), bg.bg_q().data(),
+                                      sub.i.data(), sub.q.data(), nullptr,
+                                      nullptr, si.data(), sq.data(),
+                                      ssq.data());
+        };
+        for (std::size_t frame = 0; frame < 8; ++frame) {
+            IqPlanes x;
+            x.resize(n);
+            ComplexSignal aos(n);
+            for (std::size_t j = 0; j < n; ++j) {
+                x.i[j] = rng.normal(0.0, 1.0);
+                x.q[j] = rng.normal(0.0, 1.0);
+                aos[j] = Complex(x.i[j], x.q[j]);
+            }
+            IqPlanes want;
+            run_kernel(fused, x, want);
+            IqPlanes got;
+            if (frame % 2 == 0) {
+                ComplexSignal sub_aos;
+                mixed.process_into(aos, sub_aos);
+                got.resize(n);
+                for (std::size_t j = 0; j < n; ++j) {
+                    got.i[j] = sub_aos[j].real();
+                    got.q[j] = sub_aos[j].imag();
+                }
+            } else {
+                run_kernel(mixed, x, got);
+            }
+            expect_bitwise(want.i, got.i, "sub i");
+            expect_bitwise(want.q, got.q, "sub q");
+            expect_bitwise(fused.bg_i(), mixed.bg_i(), "background i");
+            expect_bitwise(fused.bg_q(), mixed.bg_q(), "background q");
+        }
+    }
+}
+
 TEST(SimdKernels, FusedBackgroundToleratesEvictAliasingOutput) {
     // A full ring recycles the evicted frame's slot as the new output:
     // old_i/old_q alias oi/oq. The kernel must read the evicted values
