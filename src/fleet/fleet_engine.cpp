@@ -6,6 +6,7 @@
 
 #include "common/contracts.hpp"
 #include "core/recovery_ladder.hpp"
+#include "obs/telemetry/names.hpp"
 #include "state/snapshot.hpp"
 
 namespace blinkradar::fleet {
@@ -102,21 +103,17 @@ void FleetEngine::build_pipeline(Session& s) const {
 }
 
 SessionId FleetEngine::create_session(const radar::RadarConfig& radar) {
-    return create_session(radar, config_.pipeline);
-}
-
-SessionId FleetEngine::create_session(const radar::RadarConfig& radar,
-                                      core::PipelineConfig overrides) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const SessionId id = next_id_++;
     auto s = std::make_unique<Session>();
     s->id = id;
     s->radar = radar;
-    s->pipeline_config = std::move(overrides);
+    s->pipeline_config = config_.pipeline;
     // Engine-managed per-session prefix: no two sessions can ever
     // collide in a shared downstream registry, snapshot, or trace.
     s->pipeline_config.metrics_prefix =
-        config_.metrics_prefix + "s" + std::to_string(id) + ".";
+        std::string(obs::telemetry::kFleetPrefix) + "s" +
+        std::to_string(id) + ".";
     if (config_.collect_metrics)
         s->metrics = std::make_unique<obs::MetricsRegistry>();
     s->last_active_pump = engine_stats_.pumps;  // creation counts as activity
@@ -486,7 +483,7 @@ void FleetEngine::aggregate_into(obs::telemetry::Aggregator& agg) const {
     // output was just reset, so inc(absolute) lands the exact value);
     // instantaneous ones as gauges.
     obs::MetricsRegistry& out = agg.output();
-    const std::string& p = config_.metrics_prefix;
+    const std::string p(obs::telemetry::kFleetPrefix);
     std::size_t resident = 0;
     std::vector<std::uint64_t> shard_resident(config_.n_shards, 0);
     std::vector<std::uint64_t> shard_queued(config_.n_shards, 0);

@@ -87,9 +87,9 @@ struct FleetConfig {
     /// value >= 1. More shards means finer steal granularity.
     std::size_t n_shards = 4;
 
-    /// Base pipeline configuration for every session (create_session
-    /// overloads can override per session). The metrics_prefix field is
-    /// managed by the engine — see metrics_prefix below.
+    /// Pipeline configuration for every session. Its metrics_prefix is
+    /// managed by the engine: session `id` gets "fleet.s<id>."
+    /// (obs/telemetry/names.hpp), so no two sessions' series collide.
     core::PipelineConfig pipeline{};
 
     /// Per-session autosnapshot cadence, in processed frames. The most
@@ -113,10 +113,6 @@ struct FleetConfig {
     /// Attach a private obs::MetricsRegistry to every session. Merged
     /// in ascending session-id order by merge_metrics().
     bool collect_metrics = false;
-
-    /// Metric name prefix. Every session gets "<metrics_prefix>s<id>.",
-    /// so no two sessions' series ever collide.
-    std::string metrics_prefix = "fleet.";
 
     /// Engine-enforced eviction policy (see ResidencyPolicy). Adjustable
     /// at runtime via set_residency_policy — the ingest front-end's shed
@@ -183,12 +179,8 @@ public:
     FleetEngine(const FleetEngine&) = delete;
     FleetEngine& operator=(const FleetEngine&) = delete;
 
-    /// Create a session (pipeline constructed immediately). The second
-    /// overload overrides the base pipeline config for this session —
-    /// its metrics_prefix is still engine-managed.
+    /// Create a session (pipeline constructed immediately).
     SessionId create_session(const radar::RadarConfig& radar);
-    SessionId create_session(const radar::RadarConfig& radar,
-                             core::PipelineConfig overrides);
 
     /// Queue frames for a session; processed in feed order by the next
     /// pump(). Unknown id -> ContractViolation. The rvalue overload
@@ -243,7 +235,7 @@ public:
     /// every session's registry rolls up (bounded cardinality, top-K
     /// laggard detail — see obs/telemetry/aggregator.hpp), then the
     /// engine's own lifecycle stats and per-shard roll-ups are written
-    /// as "<metrics_prefix>engine.*" / "<metrics_prefix>shard<k>.*".
+    /// as "fleet.engine.*" / "fleet.shard<k>.*".
     /// Deterministic except engine.sessions_stolen.
     void aggregate_into(obs::telemetry::Aggregator& agg) const;
 

@@ -4,8 +4,25 @@
 #include <chrono>
 
 #include "common/contracts.hpp"
+#include "obs/telemetry/names.hpp"
 
 namespace blinkradar::ingest {
+
+namespace {
+
+// Stream, governor and watchdog constants (see frontend.hpp).
+constexpr std::size_t kReadBudgetBytes = 64 * 1024;
+constexpr std::size_t kMaxDeliverPerTick = 32;
+constexpr std::uint64_t kStallTicks = 50;
+constexpr std::uint64_t kBackoffBaseTicks = 4;
+constexpr std::uint64_t kBackoffMaxTicks = 256;
+constexpr std::size_t kLatencyStrideNormal = 1;
+constexpr std::size_t kLatencyStrideShed = 8;
+constexpr fleet::ResidencyPolicy kOverloadResidency{
+    .max_resident = 0, .evict_idle_after_pumps = 1};
+constexpr std::uint64_t kMasterSeed = 0xB11Fu;
+
+}  // namespace
 
 const char* to_string(ShedLevel level) noexcept {
     switch (level) {
@@ -21,22 +38,17 @@ const char* to_string(ShedLevel level) noexcept {
 /// Everything one stream owns. Touched only by the driving thread; the
 /// source is the boundary to producer threads (BytePipe locks inside).
 struct IngestFrontend::Stream {
-    Stream(StreamId id_, StreamConfig config_,
+    Stream(StreamId id_, const StreamConfig& config,
            std::unique_ptr<ByteSource> source_, Rng rng_)
         : id(id_),
-          config(config_),
           source(std::move(source_)),
-          decoder(config_.max_payload_bytes),
-          queue(config_.queue_capacity, config_.policy),
-          configured_policy(config_.policy),
+          queue(config.queue_capacity, config.policy),
           rng(rng_) {}
 
     StreamId id;
-    StreamConfig config;
     std::unique_ptr<ByteSource> source;
-    WireDecoder decoder;
+    WireDecoder decoder;  ///< default 1 MiB payload ceiling
     BoundedFrameQueue queue;
-    BackpressurePolicy configured_policy;
     bool policy_forced = false;  ///< shed ladder overrode the policy
     Rng rng;                     ///< watchdog jitter (forked, per stream)
 
@@ -90,18 +102,18 @@ IngestFrontend::IngestFrontend(IngestConfig config,
       metrics_(metrics),
       trace_(trace),
       spans_(spans),
-      master_rng_(config_.seed),
+      master_rng_(kMasterSeed),
       tokens_(config_.admission.capacity),
-      latency_stride_(config_.governor.latency_stride_normal) {
+      latency_stride_(kLatencyStrideNormal) {
     const GovernorConfig& g = config_.governor;
     BR_EXPECTS(g.budget_frames_per_tick >= 1);
     BR_EXPECTS(g.widen_at < g.force_drop_at &&
                g.force_drop_at < g.evict_at && g.evict_at < g.refuse_at);
     BR_EXPECTS(g.engage_ticks >= 1 && g.release_ticks >= 1);
-    BR_EXPECTS(g.latency_stride_normal >= 1 && g.latency_stride_shed >= 1);
+    BR_EXPECTS(config_.stream.queue_capacity >= 1);
     BR_EXPECTS(config_.admission.capacity >= 1.0);
     if (metrics_ != nullptr) {
-        const std::string& p = config_.metrics_prefix;
+        const std::string p(obs::telemetry::kIngestPrefix);
         m_ = std::make_unique<Metrics>();
         m_->delivered = &metrics_->counter(p + "frames.delivered");
         m_->dropped = &metrics_->counter(p + "frames.dropped");
@@ -121,20 +133,12 @@ IngestFrontend::IngestFrontend(IngestConfig config,
         m_->quarantined_bytes = &metrics_->gauge(p + "decode.quarantined_bytes");
         m_->pump_ns = &metrics_->histogram(p + "pump_ns");
         m_->queue_age_ticks = &metrics_->histogram(p + "queue_age_ticks");
+        slo_ = std::make_unique<obs::telemetry::SloTracker>(
+            obs::telemetry::SloConfig{}, metrics_);
     }
-    if (metrics_ != nullptr && config_.telemetry.track_slo) {
-        obs::telemetry::SloConfig sc = config_.telemetry.slo;
-        sc.metric_prefix = config_.metrics_prefix + "slo.";
-        slo_ = std::make_unique<obs::telemetry::SloTracker>(sc, metrics_);
-    }
-    obs::telemetry::AggregatorConfig ac;
-    ac.fleet_prefix = engine_.config().metrics_prefix;
-    ac.top_k_laggards = config_.telemetry.top_k_laggards;
-    aggregator_ = std::make_unique<obs::telemetry::Aggregator>(ac);
-    obs::telemetry::SnapshotPublisherConfig pc;
-    pc.json_path = config_.telemetry.json_path;
-    pc.prom_path = config_.telemetry.prom_path;
-    publisher_ = std::make_unique<obs::telemetry::SnapshotPublisher>(pc);
+    aggregator_ = std::make_unique<obs::telemetry::Aggregator>();
+    publisher_ = std::make_unique<obs::telemetry::SnapshotPublisher>(
+        obs::telemetry::SnapshotPublisherConfig{config_.telemetry.json_path});
 }
 
 IngestFrontend::~IngestFrontend() = default;
@@ -157,15 +161,7 @@ const IngestFrontend::Stream& IngestFrontend::stream_ref(
 }
 
 Admission IngestFrontend::open_stream(std::unique_ptr<ByteSource> source) {
-    return open_stream(std::move(source), config_.stream);
-}
-
-Admission IngestFrontend::open_stream(std::unique_ptr<ByteSource> source,
-                                      StreamConfig config) {
     BR_EXPECTS(source != nullptr);
-    BR_EXPECTS(config.queue_capacity >= 1);
-    BR_EXPECTS(config.read_budget_bytes >= 1);
-    BR_EXPECTS(config.max_deliver_per_tick >= 1);
     if (level_ >= ShedLevel::kRefuseAdmissions) {
         if (m_) m_->refused_shed->inc();
         trace_line("{\"ev\":\"ingest.refuse\",\"why\":\"shed\",\"tick\":" +
@@ -180,7 +176,7 @@ Admission IngestFrontend::open_stream(std::unique_ptr<ByteSource> source,
     }
     tokens_ -= 1.0;
     const StreamId id = next_stream_id_++;
-    streams_.emplace(id, std::make_unique<Stream>(id, config,
+    streams_.emplace(id, std::make_unique<Stream>(id, config_.stream,
                                                   std::move(source),
                                                   master_rng_.fork()));
     if (m_) m_->opened->inc();
@@ -217,7 +213,7 @@ void IngestFrontend::poll_stream(Stream& s) {
 
     std::size_t bytes = 0;
     if (!blocked) {
-        s.read_buf.resize(s.config.read_budget_bytes);
+        s.read_buf.resize(kReadBudgetBytes);
         bytes = s.source->read(s.read_buf.data(), s.read_buf.size());
         if (bytes > 0) {
             s.bytes_read += bytes;
@@ -293,8 +289,7 @@ std::size_t IngestFrontend::deliver() {
         if (!s.session) continue;
         deliver_frames_.clear();
         deliver_ages_.clear();
-        const std::size_t want =
-            std::min(budget, s.config.max_deliver_per_tick);
+        const std::size_t want = std::min(budget, kMaxDeliverPerTick);
         const std::size_t n =
             s.queue.pop_into(want, tick_, deliver_frames_, deliver_ages_);
         for (std::size_t i = 0; i < n; ++i) {
@@ -320,7 +315,7 @@ std::size_t IngestFrontend::deliver() {
 void IngestFrontend::run_watchdogs() {
     for (auto& [id, sp] : streams_) {
         Stream& s = *sp;
-        if (s.stall_run < s.config.stall_ticks) continue;
+        if (s.stall_run < kStallTicks) continue;
         if (tick_ < s.next_reconnect_tick) continue;  // backing off
         s.source->reconnect();
         ++s.reconnects;
@@ -330,8 +325,8 @@ void IngestFrontend::run_watchdogs() {
         // way on every replay.
         const std::uint64_t shift =
             std::min<std::uint64_t>(s.backoff_attempts, 6);
-        const std::uint64_t base = std::min(
-            s.config.backoff_base_ticks << shift, s.config.backoff_max_ticks);
+        const std::uint64_t base =
+            std::min(kBackoffBaseTicks << shift, kBackoffMaxTicks);
         const std::uint64_t jitter = static_cast<std::uint64_t>(
             s.rng.uniform_int(0, static_cast<int>(std::min<std::uint64_t>(
                                      base, 1u << 16))));
@@ -358,12 +353,11 @@ void IngestFrontend::set_level(ShedLevel to, double load) {
 
     // Step side effects. The ladder moves one level at a time, so each
     // transition crosses exactly one boundary.
-    latency_stride_ = to >= ShedLevel::kWidenSampling
-                          ? config_.governor.latency_stride_shed
-                          : config_.governor.latency_stride_normal;
+    latency_stride_ = to >= ShedLevel::kWidenSampling ? kLatencyStrideShed
+                                                      : kLatencyStrideNormal;
     if (to == ShedLevel::kEvictIdle && from < ShedLevel::kEvictIdle) {
         saved_residency_ = engine_.residency_policy();
-        engine_.set_residency_policy(config_.governor.overload_residency);
+        engine_.set_residency_policy(kOverloadResidency);
     }
     if (from == ShedLevel::kEvictIdle && to < ShedLevel::kEvictIdle) {
         engine_.set_residency_policy(saved_residency_);
@@ -372,7 +366,7 @@ void IngestFrontend::set_level(ShedLevel to, double load) {
         to < ShedLevel::kForceDropOldest) {
         for (auto& [id, sp] : streams_)
             if (sp->policy_forced) {
-                sp->queue.set_policy(sp->configured_policy);
+                sp->queue.set_policy(config_.stream.policy);
                 sp->policy_forced = false;
             }
     }
@@ -507,7 +501,7 @@ const obs::telemetry::SnapshotPublisher& IngestFrontend::publish_telemetry() {
     std::string key;
     for (const StreamId id : telemetry_streams_) {
         if (streams_.find(id) != streams_.end()) continue;
-        key.assign(config_.metrics_prefix);
+        key.assign(obs::telemetry::kIngestPrefix);
         key += 's';
         key += std::to_string(id);
         key += '.';
@@ -517,7 +511,7 @@ const obs::telemetry::SnapshotPublisher& IngestFrontend::publish_telemetry() {
     for (const auto& [id, sp] : streams_) {
         telemetry_streams_.push_back(id);
         const Stream& s = *sp;
-        key.assign(config_.metrics_prefix);
+        key.assign(obs::telemetry::kIngestPrefix);
         key += 's';
         key += std::to_string(id);
         key += '.';
@@ -545,17 +539,20 @@ fleet::SessionStats IngestFrontend::close_stream(StreamId id) {
     if (s.session) {
         // Drain-then-release, end to end: everything this stream still
         // holds goes to the session, and FleetEngine::close processes
-        // the session's whole inbox before destroying it.
-        if (s.holding) {
-            engine_.feed(*s.session, std::move(*s.holding));
-            s.holding.reset();
-        }
+        // the session's whole inbox before destroying it. The held
+        // frame is the one the full queue refused, so it is newer than
+        // every queued frame and goes last: fed first, FrameGuard would
+        // quarantine the older queued frames as reorders.
         deliver_frames_.clear();
         deliver_ages_.clear();
         s.queue.pop_into(SIZE_MAX, tick_, deliver_frames_, deliver_ages_);
         for (auto& frame : deliver_frames_)
             engine_.feed(*s.session, std::move(frame));
         s.delivered += deliver_frames_.size();
+        if (s.holding) {
+            engine_.feed(*s.session, std::move(*s.holding));
+            s.holding.reset();
+        }
         final_stats = engine_.close(*s.session);
     }
     trace_line("{\"ev\":\"ingest.close\",\"stream\":" + std::to_string(id) +

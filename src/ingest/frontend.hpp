@@ -41,8 +41,9 @@
 //                               are switched to drop_oldest (stale
 //                               frames die before fresh ones wait).
 //   3 evict idle              - the engine's residency policy tightens
-//                               (overload_residency) so idle sessions
-//                               spill and working memory shrinks.
+//                               (evict after one idle pump) so idle
+//                               sessions spill and working memory
+//                               shrinks.
 //   4 refuse admissions       - open_stream() refuses new streams.
 //
 // Determinism: every load-shedding decision — queue drops, ladder
@@ -106,25 +107,14 @@ struct ShedEvent {
     double load = 0.0;
 };
 
-/// Per-stream knobs; IngestConfig::stream supplies the defaults and an
-/// open_stream overload can override per stream.
+/// Per-stream knobs, the same for every stream. The read budget (64 KiB
+/// per tick), the per-stream delivery cap (32 frames per tick), the
+/// decoder's payload ceiling (1 MiB) and the stall watchdog (fires
+/// after 50 silent ticks; backoff 4 << attempts ticks, capped at 256,
+/// plus jitter) are constants of the front-end.
 struct StreamConfig {
     std::size_t queue_capacity = 64;
     BackpressurePolicy policy = BackpressurePolicy::kBlock;
-    /// Max bytes pulled from the source per tick.
-    std::size_t read_budget_bytes = 64 * 1024;
-    /// Max frames this stream hands the engine per tick (fairness cap
-    /// under the governor's global budget).
-    std::size_t max_deliver_per_tick = 32;
-    /// Decoder ceiling for a single record payload.
-    std::size_t max_payload_bytes = 1u << 20;
-    /// Consecutive silent ticks (source not exhausted, zero bytes, zero
-    /// records) before the stall watchdog fires.
-    std::uint64_t stall_ticks = 50;
-    /// Reconnect backoff: base << attempts, capped, plus a jitter drawn
-    /// from the stream's forked RNG (deterministic per seed).
-    std::uint64_t backoff_base_ticks = 4;
-    std::uint64_t backoff_max_ticks = 256;
 };
 
 /// Token-bucket admission gate for open_stream().
@@ -133,7 +123,10 @@ struct AdmissionConfig {
     double refill_per_tick = 0.25; ///< sustained streams per tick
 };
 
-/// Load governor: the shed ladder's thresholds and side-effect knobs.
+/// Load governor: the shed ladder's budget and thresholds. Its side
+/// effects are constants: pump-latency sampling widens from every tick
+/// to 1-in-8 at level >= 1, and level >= 3 pushes the residency policy
+/// {max_resident 0, evict_idle_after_pumps 1} onto the engine.
 struct GovernorConfig {
     /// Frames per tick the deployment is provisioned to sustain — the
     /// denominator of the load signal AND the global deliver budget.
@@ -149,35 +142,23 @@ struct GovernorConfig {
     double refuse_at = 3.0;
     std::size_t engage_ticks = 3;
     std::size_t release_ticks = 6;
-
-    /// Pump-latency metrics sampling stride, normal vs shed (>= level 1).
-    std::size_t latency_stride_normal = 1;
-    std::size_t latency_stride_shed = 8;
-
-    /// Residency policy pushed onto the engine at level >= 3 (the
-    /// previous policy is saved and restored on release).
-    fleet::ResidencyPolicy overload_residency{
-        .max_resident = 0, .evict_idle_after_pumps = 1};
 };
 
 /// The live telemetry plane (see src/obs/telemetry and DESIGN.md §16):
 /// hierarchical aggregation + snapshot export cadence, SLO burn-rate
-/// tracking, and end-to-end span sampling. Every piece is optional and
+/// tracking, and end-to-end span sampling. Every piece is
 /// observation-only — results are bit-identical with it on or off.
+/// With a metrics registry attached, the enqueue->result SLO is always
+/// tracked ("ingest.slo.*", default SloConfig), and the roll-up keeps
+/// the default 4 laggard sessions in full detail.
 struct TelemetryConfig {
     /// Run one aggregation + publish cycle every N ticks; 0 disables
     /// the automatic cadence (publish_telemetry() still works).
     std::size_t export_every_ticks = 0;
-    /// Snapshot files, replaced atomically each cycle; empty = keep the
-    /// rendering in memory only (SnapshotPublisher::last_*).
+    /// `blinkradar-obs-v1` JSON snapshot, replaced atomically each
+    /// cycle; empty = keep the rendering in memory only
+    /// (SnapshotPublisher::last_json).
     std::string json_path;
-    std::string prom_path;
-    /// Sessions whose per-session metric detail survives aggregation.
-    std::size_t top_k_laggards = 4;
-    /// Track the enqueue->result SLO (requires a metrics registry; the
-    /// tracker's metric prefix is forced to "<metrics_prefix>slo.").
-    bool track_slo = true;
-    obs::telemetry::SloConfig slo{};
     /// Span sampling: one span per span_stride x latency-stride decoded
     /// frames, so the effective stride widens with the shed ladder
     /// exactly as pump-latency sampling does (observability pays
@@ -186,15 +167,14 @@ struct TelemetryConfig {
     std::size_t span_stride = 16;
 };
 
+/// Every metric the front-end writes is named "ingest.*"
+/// (obs/telemetry/names.hpp); each stream's watchdog-jitter RNG is
+/// forked, in open order, from one fixed master seed.
 struct IngestConfig {
     StreamConfig stream{};
     AdmissionConfig admission{};
     GovernorConfig governor{};
     TelemetryConfig telemetry{};
-    /// Master seed; each stream's watchdog-jitter RNG is forked from it
-    /// in open order.
-    std::uint64_t seed = 0xB11Fu;
-    std::string metrics_prefix = "ingest.";
 };
 
 enum class AdmissionOutcome : std::uint8_t {
@@ -259,8 +239,6 @@ public:
     /// refusal step). The fleet session is created later, when the
     /// stream's hello record decodes.
     Admission open_stream(std::unique_ptr<ByteSource> source);
-    Admission open_stream(std::unique_ptr<ByteSource> source,
-                          StreamConfig config);
 
     /// One tick: poll -> deliver -> engine.pump -> watchdogs ->
     /// governor -> token refill.
@@ -294,14 +272,12 @@ public:
         return shed_events_;
     }
     std::uint64_t tick() const noexcept { return tick_; }
-    double tokens() const noexcept { return tokens_; }
 
     fleet::FleetEngine& engine() noexcept { return engine_; }
-    const IngestConfig& config() const noexcept { return config_; }
 
     /// Run one aggregation + publish cycle now: the engine rolls up
     /// (FleetEngine::aggregate_into), the front-end's own registry and
-    /// bounded per-stream roll-ups ("<metrics_prefix>s<id>.*") fold in,
+    /// bounded per-stream roll-ups ("ingest.s<id>.*") fold in,
     /// and the combined registry is rendered/written by the publisher.
     /// Also runs automatically every telemetry.export_every_ticks ticks.
     const obs::telemetry::SnapshotPublisher& publish_telemetry();
@@ -310,7 +286,7 @@ public:
     const obs::telemetry::Aggregator& aggregator() const noexcept {
         return *aggregator_;
     }
-    /// Null unless telemetry.track_slo and a metrics registry attached.
+    /// Null unless a metrics registry is attached.
     const obs::telemetry::SloTracker* slo() const noexcept {
         return slo_.get();
     }
@@ -339,7 +315,7 @@ private:
     std::unique_ptr<obs::telemetry::SnapshotPublisher> publisher_;
     std::uint64_t decode_count_ = 0;  ///< span-sampling clock
     /// Streams whose per-stream roll-up was written last cycle (their
-    /// exact "<metrics_prefix>s<id>." keys are retired next cycle).
+    /// exact "ingest.s<id>." keys are retired next cycle).
     std::vector<StreamId> telemetry_streams_;
 
     std::map<StreamId, std::unique_ptr<Stream>> streams_;

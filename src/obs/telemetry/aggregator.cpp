@@ -4,6 +4,7 @@
 #include <charconv>
 
 #include "common/contracts.hpp"
+#include "obs/telemetry/names.hpp"
 
 namespace blinkradar::obs::telemetry {
 
@@ -14,7 +15,7 @@ Aggregator::Aggregator(AggregatorConfig config) : config_(std::move(config)) {
 
 void Aggregator::session_prefix_into(std::uint64_t id,
                                      std::string& out) const {
-    out.assign(config_.fleet_prefix);
+    out.assign(kFleetPrefix);
     out += 's';
     char buf[24];
     const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), id);
@@ -45,7 +46,7 @@ void Aggregator::add_session(std::uint64_t id,
     const auto rolled = [&](const std::string& name) -> const std::string& {
         if (name.size() > spfx_.size() &&
             name.compare(0, spfx_.size(), spfx_) == 0) {
-            key_.assign(config_.fleet_prefix);
+            key_.assign(kFleetPrefix);
             key_.append(name, spfx_.size(), std::string::npos);
             return key_;
         }

@@ -43,8 +43,6 @@
 namespace blinkradar::obs::telemetry {
 
 struct AggregatorConfig {
-    /// Roll-up prefix; per-session names are "<fleet_prefix>s<id>.".
-    std::string fleet_prefix = "fleet.";
     /// Sessions whose full per-session detail is kept each cycle.
     std::size_t top_k_laggards = 4;
 };
@@ -89,7 +87,7 @@ private:
     /// (id, score) per session seen this cycle.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> scores_;
     std::vector<std::uint64_t> laggards_;
-    std::string spfx_;  ///< scratch: "<fleet_prefix>s<id>."
+    std::string spfx_;  ///< scratch: "fleet.s<id>."
     std::string key_;   ///< scratch: rolled-up output name
     std::uint64_t cycles_ = 0;
 };

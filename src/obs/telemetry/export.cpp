@@ -1,101 +1,8 @@
 #include "obs/telemetry/export.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cstdio>
 
-#include "common/contracts.hpp"
-
 namespace blinkradar::obs::telemetry {
-
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-    char buf[24];
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    BR_ASSERT(ec == std::errc());
-    out.append(buf, end);
-}
-
-void append_f64(std::string& out, double v) {
-    char buf[32];
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    BR_ASSERT(ec == std::errc());
-    out.append(buf, end);
-}
-
-/// Prometheus metric names allow [a-zA-Z_:][a-zA-Z0-9_:]*; dotted
-/// registry names map the obvious way (fleet.stage.guard ->
-/// fleet_stage_guard).
-void append_sanitized(std::string& out, const std::string& name) {
-    for (std::size_t i = 0; i < name.size(); ++i) {
-        const char c = name[i];
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9' && i != 0) || c == '_' ||
-                        c == ':';
-        out += ok ? c : '_';
-    }
-}
-
-}  // namespace
-
-void append_prometheus(const MetricsRegistry& registry, std::string& out) {
-    // std::map iteration is name-sorted and every number is formatted
-    // with to_chars, so equal registries render byte-identically.
-    for (const auto& [name, c] : registry.counters()) {
-        out += "# TYPE ";
-        append_sanitized(out, name);
-        out += " counter\n";
-        append_sanitized(out, name);
-        out += ' ';
-        append_u64(out, c.value());
-        out += '\n';
-    }
-    for (const auto& [name, g] : registry.gauges()) {
-        out += "# TYPE ";
-        append_sanitized(out, name);
-        out += " gauge\n";
-        append_sanitized(out, name);
-        out += ' ';
-        append_f64(out, g.value());
-        out += '\n';
-    }
-    for (const auto& [name, h] : registry.histograms()) {
-        out += "# TYPE ";
-        append_sanitized(out, name);
-        out += " histogram\n";
-        std::uint64_t cumulative = 0;
-        const auto& counts = h.counts();
-        for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-            cumulative += counts[b];
-            append_sanitized(out, name);
-            out += "_bucket{le=\"";
-            append_u64(out, LatencyHistogram::kBucketBoundsNs[b]);
-            out += "\"} ";
-            append_u64(out, cumulative);
-            out += '\n';
-        }
-        append_sanitized(out, name);
-        out += "_bucket{le=\"+Inf\"} ";
-        append_u64(out, h.count());
-        out += '\n';
-        append_sanitized(out, name);
-        out += "_sum ";
-        append_u64(out, h.sum_ns());
-        out += '\n';
-        append_sanitized(out, name);
-        out += "_count ";
-        append_u64(out, h.count());
-        out += '\n';
-    }
-}
-
-std::string snapshot_to_prometheus(const MetricsRegistry& registry) {
-    std::string out;
-    out.reserve(1024);
-    append_prometheus(registry, out);
-    return out;
-}
 
 SnapshotPublisher::SnapshotPublisher(SnapshotPublisherConfig config)
     : config_(std::move(config)) {}
@@ -124,13 +31,8 @@ bool SnapshotPublisher::publish(const MetricsRegistry& registry) {
     const std::size_t back = 1 - front_;
     json_buf_[back].clear();
     append_snapshot_json(registry, json_buf_[back]);
-    prom_buf_[back].clear();
-    append_prometheus(registry, prom_buf_[back]);
-    bool ok = true;
-    if (!config_.json_path.empty())
-        ok = write_atomic(config_.json_path, json_buf_[back]) && ok;
-    if (!config_.prom_path.empty())
-        ok = write_atomic(config_.prom_path, prom_buf_[back]) && ok;
+    const bool ok = config_.json_path.empty() ||
+                    write_atomic(config_.json_path, json_buf_[back]);
     front_ = back;
     ++publishes_;
     if (!ok) ++failures_;

@@ -1,16 +1,16 @@
-// Live telemetry export: Prometheus text exposition and atomic
-// double-buffered snapshot publication.
+// Live telemetry export: atomic double-buffered snapshot publication.
 //
 // The fleet/ingest layers publish their aggregated registry on a tick
-// cadence; consumers (tools/br_top, scrapers, tests) read the published
-// files. No sockets — a snapshot is a plain file replaced atomically
-// (write temp + rename), so a reader never observes a torn snapshot and
-// the whole plane stays deterministic and test-friendly.
+// cadence as one "blinkradar-obs-v1" JSON snapshot (obs/metrics.hpp);
+// consumers (tools/br_top, tests) read the published file. No sockets —
+// a snapshot is a plain file replaced atomically (write temp + rename),
+// so a reader never observes a torn snapshot and the whole plane stays
+// deterministic and test-friendly.
 //
-// Rendering appends into caller-owned buffers so the steady-state
-// publish cycle reuses capacity and does not allocate. Both renderings
-// are byte-deterministic: map-sorted metric names, fixed field order,
-// locale-independent numbers (std::to_chars).
+// Rendering appends into publisher-owned buffers so the steady-state
+// publish cycle reuses capacity and does not allocate. The rendering is
+// byte-deterministic: map-sorted metric names, fixed field order,
+// locale-independent numbers.
 #pragma once
 
 #include <array>
@@ -21,17 +21,8 @@
 
 namespace blinkradar::obs::telemetry {
 
-/// Append Prometheus text exposition (one `# TYPE` line per metric;
-/// histograms expand to cumulative `_bucket{le="..."}` series plus
-/// `_sum`/`_count`). Metric names are sanitised to [a-zA-Z0-9_:].
-void append_prometheus(const MetricsRegistry& registry, std::string& out);
-
-/// Convenience wrapper around append_prometheus.
-std::string snapshot_to_prometheus(const MetricsRegistry& registry);
-
 struct SnapshotPublisherConfig {
     std::string json_path;  ///< `blinkradar-obs-v1` JSON; empty = skip
-    std::string prom_path;  ///< Prometheus exposition; empty = skip
 };
 
 /// Renders a registry into alternating front/back buffers and publishes
@@ -44,28 +35,21 @@ class SnapshotPublisher {
 public:
     explicit SnapshotPublisher(SnapshotPublisherConfig config = {});
 
-    /// Render + write. Returns false if any configured file write
+    /// Render + write. Returns false if the configured file write
     /// failed (the in-memory buffers still advance).
     bool publish(const MetricsRegistry& registry);
 
     const std::string& last_json() const noexcept {
         return json_buf_[front_];
     }
-    const std::string& last_prometheus() const noexcept {
-        return prom_buf_[front_];
-    }
     std::uint64_t publishes() const noexcept { return publishes_; }
     std::uint64_t failures() const noexcept { return failures_; }
-    const SnapshotPublisherConfig& config() const noexcept {
-        return config_;
-    }
 
 private:
     bool write_atomic(const std::string& path, const std::string& body);
 
     SnapshotPublisherConfig config_;
     std::array<std::string, 2> json_buf_;
-    std::array<std::string, 2> prom_buf_;
     std::size_t front_ = 0;
     std::uint64_t publishes_ = 0;
     std::uint64_t failures_ = 0;

@@ -1,17 +1,20 @@
 #include "obs/telemetry/slo.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "obs/telemetry/names.hpp"
 
 namespace blinkradar::obs::telemetry {
 
 SloTracker::SloTracker(SloConfig config, MetricsRegistry* registry)
-    : config_(std::move(config)),
+    : config_(config),
       short_w_(std::max<std::size_t>(config_.short_window_ticks, 1)),
       long_w_(std::max<std::size_t>(config_.long_window_ticks, 1)) {
     if (config_.error_budget <= 0.0) config_.error_budget = 0.01;
     if (config_.tick_ns == 0) config_.tick_ns = 1;
     if (registry != nullptr) {
-        const std::string& p = config_.metric_prefix;
+        const std::string p = std::string(kIngestPrefix) + "slo.";
         good_c_ = &registry->counter(p + "good");
         bad_c_ = &registry->counter(p + "bad");
         short_g_ = &registry->gauge(p + "burn_short");

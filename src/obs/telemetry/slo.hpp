@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -36,15 +35,14 @@ struct SloConfig {
     std::size_t short_window_ticks = 8;
     std::size_t long_window_ticks = 64;
     double error_budget = 0.01;  ///< tolerated bad-frame fraction
-    std::string metric_prefix = "ingest.slo.";
 };
 
 class SloTracker {
 public:
     /// `registry` is optional and not owned; pass nullptr to track
-    /// without exporting. Metric names under config.metric_prefix:
-    /// good / bad (counters), burn_short / burn_long / burning
-    /// (gauges), enqueue_to_result_ns (histogram).
+    /// without exporting. Metric names under "ingest.slo.": good / bad
+    /// (counters), burn_short / burn_long / burning (gauges),
+    /// enqueue_to_result_ns (histogram).
     explicit SloTracker(SloConfig config = {},
                         MetricsRegistry* registry = nullptr);
 
@@ -60,7 +58,6 @@ public:
     double long_burn() const noexcept { return long_burn_; }
     /// Error budget burning faster than provisioned (short window).
     bool burning() const noexcept { return short_burn_ > 1.0; }
-    const SloConfig& config() const noexcept { return config_; }
 
 private:
     struct Window {

@@ -27,6 +27,7 @@
 #include "ingest/wire_format.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/span.hpp"
+#include "obs/trace.hpp"
 #include "physio/driver_profile.hpp"
 #include "sim/scenario.hpp"
 
@@ -533,6 +534,66 @@ TEST(IngestFrontend, CloseStreamDrainsQueuedFrames) {
     EXPECT_EQ(final_stats.frames_processed, sims[0].frames.size());
 }
 
+TEST(IngestFrontend, CloseStreamFeedsTheHeldFrameAfterQueuedFrames) {
+    // Under kBlock the holding slot keeps the frame the full queue
+    // refused, so it is newer than every queued frame. close_stream must
+    // feed it last, or FrameGuard sees the older queued frames as
+    // reorders. Every frame carries a span; the span records come out in
+    // processing order and must ascend in wire seq.
+    const auto sims = make_sessions(1, 2.0);
+    const fs::path trace_path =
+        fs::temp_directory_path() / "ingest_close_order_spans.jsonl";
+    std::vector<std::uint64_t> seqs;
+    std::uint64_t st_queued = 0;
+    {
+        obs::TraceSink sink(trace_path.string());
+        obs::telemetry::SpanCollector spans(&sink);
+        ThreadPool pool(1);
+        fleet::FleetConfig fcfg;
+        fcfg.span_collector = &spans;
+        fleet::FleetEngine engine(fcfg, &pool);
+        ingest::IngestConfig cfg;
+        cfg.governor.budget_frames_per_tick = 1;
+        // Park the ladder: the stream must stay kBlock and fully traced.
+        cfg.governor.widen_at = 1e5;
+        cfg.governor.force_drop_at = 2e5;
+        cfg.governor.evict_at = 3e5;
+        cfg.governor.refuse_at = 4e5;
+        cfg.stream.queue_capacity = 4;
+        cfg.telemetry.span_stride = 1;
+        ingest::IngestFrontend fe(cfg, engine, nullptr, nullptr, &spans);
+
+        const auto adm =
+            fe.open_stream(std::make_unique<ingest::MemoryByteSource>(
+                encode(sims[0], 0)));
+        ASSERT_TRUE(adm.admitted());
+        for (int t = 0; t < 3; ++t) fe.pump();
+        const ingest::StreamStats st = fe.stream_stats(adm.id);
+        ASSERT_TRUE(st.holding);
+        ASSERT_GT(st.queued, 0u);
+
+        st_queued = st.queued;
+        const fleet::SessionStats final_stats = fe.close_stream(adm.id);
+        EXPECT_EQ(final_stats.frames_processed, st.frames_decoded);
+        sink.flush();
+
+        std::ifstream in(trace_path);
+        std::string line;
+        const char* key = "\"seq\":";
+        while (std::getline(in, line)) {
+            const std::size_t pos = line.find(key);
+            ASSERT_NE(pos, std::string::npos) << line;
+            seqs.push_back(std::strtoull(
+                line.c_str() + pos + std::strlen(key), nullptr, 10));
+        }
+    }
+    fs::remove(trace_path);
+    // Three processed by the pumps, then the queued frames and the held.
+    ASSERT_EQ(seqs.size(), 3u + st_queued + 1u);
+    for (std::size_t i = 1; i < seqs.size(); ++i)
+        EXPECT_LT(seqs[i - 1], seqs[i]) << "span " << i;
+}
+
 namespace {
 /// A source that stays silent until reconnect() is called, then serves
 /// the wrapped bytes — the watchdog drill's stalled transport.
@@ -560,10 +621,7 @@ TEST(IngestFrontend, WatchdogReconnectsAStalledStream) {
     const auto sims = make_sessions(1, 1.0);
     ThreadPool pool(1);
     fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
-    ingest::IngestConfig cfg;
-    cfg.stream.stall_ticks = 3;
-    cfg.stream.backoff_base_ticks = 2;
-    ingest::IngestFrontend fe(cfg, engine);
+    ingest::IngestFrontend fe(ingest::IngestConfig{}, engine);
 
     const auto adm = fe.open_stream(
         std::make_unique<StallingSource>(encode(sims[0], 0)));
@@ -828,6 +886,7 @@ struct DrillOutcome {
     fleet::ResidencyPolicy final_residency{};
     ingest::ShedLevel final_level = ingest::ShedLevel::kNormal;
     std::string telemetry;    ///< deterministic aggregated subset
+    std::vector<std::string> names;  ///< every aggregated metric name
     std::string span_record;  ///< last completed span JSONL
     std::uint64_t spans_completed = 0;
     bool slo_burned_during_shed = false;
@@ -904,7 +963,11 @@ DrillOutcome run_overload(std::size_t n_shards, std::size_t n_threads,
     out.slo_good = fe.slo()->good();
     out.slo_bad = fe.slo()->bad();
     fe.publish_telemetry();
-    out.telemetry = telemetry_identity_subset(fe.aggregator().output());
+    const obs::MetricsRegistry& agg = fe.aggregator().output();
+    out.telemetry = telemetry_identity_subset(agg);
+    for (const auto& [name, c] : agg.counters()) out.names.push_back(name);
+    for (const auto& [name, g] : agg.gauges()) out.names.push_back(name);
+    for (const auto& [name, h] : agg.histograms()) out.names.push_back(name);
     out.span_record = spans.last_record();
     out.spans_completed = spans.completed();
 
@@ -990,6 +1053,23 @@ TEST(IngestOverload, ShedLadderEngagesInOrderWithNoSilentLossAndBitIdentity) {
     // The aggregated snapshot's deterministic slice is non-trivial.
     EXPECT_NE(base.telemetry.find("fleet.stage."), std::string::npos);
     EXPECT_NE(base.telemetry.find("ingest.slo.good"), std::string::npos);
+    // Every name tools/br_top renders is in the snapshot: the fleet and
+    // ingest prefixes are the namespace its dashboard reads.
+    const auto has = [&](const std::string& name) {
+        return std::find(base.names.begin(), base.names.end(), name) !=
+               base.names.end();
+    };
+    for (const char* name :
+         {"fleet.engine.sessions", "fleet.engine.resident",
+          "fleet.engine.evicted", "ingest.shed.level", "ingest.backlog",
+          "ingest.load", "ingest.pump_ns", "ingest.slo.burn_short",
+          "ingest.slo.burn_long", "ingest.slo.burning", "ingest.slo.good",
+          "ingest.slo.bad", "ingest.slo.enqueue_to_result_ns"})
+        EXPECT_TRUE(has(name)) << name;
+    EXPECT_TRUE(std::any_of(base.names.begin(), base.names.end(),
+                            [](const std::string& name) {
+                                return name.rfind("fleet.stage.", 0) == 0;
+                            }));
 
     // Bit-identical shed schedule and outputs at any shard/thread count.
     const std::size_t shard_counts[] = {3, 8};

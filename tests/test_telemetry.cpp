@@ -1,10 +1,9 @@
 // Fleet telemetry plane: schema pins, aggregation, spans, SLO, export.
 //
-// The schema tests pin the exact bytes of both snapshot renderings —
-// "blinkradar-obs-v1" JSON and Prometheus text exposition. Downstream
-// consumers (tools/br_top, scrapers, the bench compare gate) parse
-// these formats; an accidental field reorder or locale-dependent number
-// must fail loudly here, not in a dashboard.
+// The schema test pins the exact bytes of the snapshot rendering —
+// "blinkradar-obs-v1" JSON. Downstream consumers (tools/br_top, the
+// bench compare gate) parse this format; an accidental field reorder or
+// locale-dependent number must fail loudly here, not in a dashboard.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -64,36 +63,6 @@ TEST(TelemetrySchema, JsonSnapshotIsPinnedByteForByte) {
     std::string appended = "prefix";
     obs::append_snapshot_json(reg, appended);
     EXPECT_EQ(appended, "prefix" + expected);
-}
-
-TEST(TelemetrySchema, PrometheusExpositionIsPinnedByteForByte) {
-    const obs::MetricsRegistry reg = make_pinned_registry();
-    const std::string expected =
-        "# TYPE fleet_frames counter\n"
-        "fleet_frames 3\n"
-        "# TYPE ingest_load gauge\n"
-        "ingest_load 0.5\n"
-        "# TYPE fleet_stage_guard histogram\n"
-        "fleet_stage_guard_bucket{le=\"128\"} 1\n"
-        "fleet_stage_guard_bucket{le=\"256\"} 1\n"
-        "fleet_stage_guard_bucket{le=\"512\"} 1\n"
-        "fleet_stage_guard_bucket{le=\"1024\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"2048\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"4096\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"8192\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"16384\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"32768\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"65536\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"131072\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"262144\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"524288\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"1048576\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"2097152\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"4194304\"} 2\n"
-        "fleet_stage_guard_bucket{le=\"+Inf\"} 3\n"
-        "fleet_stage_guard_sum 5001100\n"
-        "fleet_stage_guard_count 3\n";
-    EXPECT_EQ(obs::telemetry::snapshot_to_prometheus(reg), expected);
 }
 
 // ------------------------------------------------------ histogram merge
@@ -429,7 +398,6 @@ TEST(TelemetryExport, PublisherWritesAtomicallyAndDoubleBuffers) {
     fs::create_directories(dir);
     obs::telemetry::SnapshotPublisherConfig cfg;
     cfg.json_path = (dir / "snapshot.json").string();
-    cfg.prom_path = (dir / "snapshot.prom").string();
     obs::telemetry::SnapshotPublisher pub(cfg);
 
     obs::MetricsRegistry reg;
@@ -439,8 +407,6 @@ TEST(TelemetryExport, PublisherWritesAtomicallyAndDoubleBuffers) {
     EXPECT_EQ(pub.failures(), 0u);
     const std::string first = pub.last_json();
     EXPECT_EQ(first, snapshot_to_json(reg));
-    EXPECT_EQ(pub.last_prometheus(),
-              obs::telemetry::snapshot_to_prometheus(reg));
 
     // The published file matches the in-memory front buffer, and no
     // temp file is left behind.
@@ -449,7 +415,6 @@ TEST(TelemetryExport, PublisherWritesAtomicallyAndDoubleBuffers) {
     body << in.rdbuf();
     EXPECT_EQ(body.str(), first);
     EXPECT_FALSE(fs::exists(cfg.json_path + ".tmp"));
-    EXPECT_FALSE(fs::exists(cfg.prom_path + ".tmp"));
 
     // Second publish flips the buffers; the front moves on.
     reg.counter("c").inc(41);

@@ -8,6 +8,8 @@
 //                                 [--corrupt SEED] [--metrics-out PATH]
 //       feed the file(s) through the streaming front-end into a
 //       FleetEngine and print per-stream + per-session accounting;
+//       --queue (per-stream queue capacity) and --budget (frames per
+//       tick) take N >= 1;
 //       --corrupt runs each stream through the wire fault injector
 //       first (the overload/corruption drill in CLI form);
 //       --metrics-out writes the final aggregated telemetry registry
@@ -219,12 +221,12 @@ int cmd_replay(const std::vector<std::string>& args) {
         } else if (args[i] == "--queue") {
             if (++i >= args.size()) return usage();
             std::uint64_t v = 0;
-            if (!parse_u64(args[i], v)) return usage();
+            if (!parse_u64(args[i], v) || v == 0) return usage();
             cfg.stream.queue_capacity = static_cast<std::size_t>(v);
         } else if (args[i] == "--budget") {
             if (++i >= args.size()) return usage();
             std::uint64_t v = 0;
-            if (!parse_u64(args[i], v)) return usage();
+            if (!parse_u64(args[i], v) || v == 0) return usage();
             cfg.governor.budget_frames_per_tick =
                 static_cast<std::size_t>(v);
         } else if (args[i] == "--corrupt") {
