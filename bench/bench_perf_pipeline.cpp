@@ -20,6 +20,9 @@
 #include "dsp/fft.hpp"
 #include "eval/experiment.hpp"
 #include "fleet/fleet_engine.hpp"
+#include "ingest/byte_source.hpp"
+#include "ingest/frontend.hpp"
+#include "ingest/wire_format.hpp"
 #include "obs/telemetry/aggregator.hpp"
 #include "obs/telemetry/export.hpp"
 #include "physio/driver_profile.hpp"
@@ -191,6 +194,54 @@ void BM_FleetPerFrameTelemetry(benchmark::State& state) {
 BENCHMARK(BM_FleetPerFrameTelemetry)
     ->MeasureProcessCPUTime()
     ->Iterations(200);
+
+// Idle-tick cost of the ingest front-end at a live gateway's shape: N
+// BytePipe streams, each with a session, and a metrics registry; one
+// stream gets a frame before every tick, the rest stay silent (their
+// stall watchdogs fire on schedule, as on a live gateway). A tick's work
+// is the one ready stream, so the /64 and /256 variants should cost the
+// same; the committed baselines make the CI gate fail when a tick walks
+// every stream or session again. Thread CPU: a one-frame pump drains on
+// the calling thread.
+void BM_IngestIdleTick(benchmark::State& state) {
+    const auto& s = session();
+    const auto n_streams = static_cast<std::size_t>(state.range(0));
+    fleet::FleetConfig fcfg;
+    fcfg.record_results = false;
+    fleet::FleetEngine engine(fcfg, &ThreadPool::shared());
+    obs::MetricsRegistry registry;
+    ingest::IngestConfig cfg;
+    cfg.admission.capacity = static_cast<double>(n_streams);
+    ingest::IngestFrontend fe(cfg, engine, &registry);
+
+    ingest::WireHello hello;
+    hello.radar = s.radar;
+    std::vector<std::unique_ptr<ingest::BytePipe>> pipes;
+    std::vector<ingest::WireEncoder> encoders;
+    for (std::size_t k = 0; k < n_streams; ++k) {
+        pipes.push_back(std::make_unique<ingest::BytePipe>());
+        if (!fe.open_stream(pipes.back()->make_source()).admitted())
+            state.SkipWithError("stream refused");
+        encoders.emplace_back(hello);
+        pipes.back()->write(encoders.back().take());
+    }
+    fe.pump();  // hellos decode into sessions
+
+    // Untimed warm-up past stream 0's cold start and the silent streams'
+    // first watchdog bursts (their backoff reaches its 256-tick cap after
+    // ~600 ticks), so every run length times the same steady state.
+    FrameReplayer replay(s);
+    const auto tick = [&] {
+        encoders[0].encode_frame(replay.next());
+        pipes[0]->write(encoders[0].take());
+        return fe.pump();
+    };
+    for (int i = 0; i < 1024; ++i) tick();
+    for (auto _ : state) benchmark::DoNotOptimize(tick());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    for (const ingest::StreamId id : fe.stream_ids()) fe.close_stream(id);
+}
+BENCHMARK(BM_IngestIdleTick)->Arg(64)->Arg(256);
 
 void BM_PreprocessFrame(benchmark::State& state) {
     const auto& s = session();

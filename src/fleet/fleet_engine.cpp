@@ -65,6 +65,8 @@ FleetEngine::FleetEngine(FleetConfig config, ThreadPool* pool)
     : config_(std::move(config)),
       pool_(pool != nullptr ? pool : &ThreadPool::shared()) {
     BR_EXPECTS(config_.n_shards >= 1);
+    shards_.resize(config_.n_shards);
+    last_pump_stats_.resize(config_.n_shards);
     if (!config_.spill_dir.empty()) {
         std::error_code ec;
         fs::create_directories(config_.spill_dir, ec);
@@ -124,17 +126,22 @@ SessionId FleetEngine::create_session(const radar::RadarConfig& radar) {
 
 void FleetEngine::feed(SessionId id, const radar::RadarFrame& frame) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    session_ref(id).inbox.push_back(frame);
+    Session& s = session_ref(id);
+    if (s.inbox.empty()) ready_.push_back(&s);
+    s.inbox.push_back(frame);
 }
 
 void FleetEngine::feed(SessionId id, radar::RadarFrame&& frame) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    session_ref(id).inbox.push_back(std::move(frame));
+    Session& s = session_ref(id);
+    if (s.inbox.empty()) ready_.push_back(&s);
+    s.inbox.push_back(std::move(frame));
 }
 
 void FleetEngine::feed(SessionId id, const radar::FrameSeries& frames) {
     const std::lock_guard<std::mutex> lock(mutex_);
     Session& s = session_ref(id);
+    if (s.inbox.empty() && !frames.empty()) ready_.push_back(&s);
     s.inbox.insert(s.inbox.end(), frames.begin(), frames.end());
 }
 
@@ -253,6 +260,7 @@ SessionStats FleetEngine::close(SessionId id) {
     BR_EXPECTS(it != sessions_.end());
     Session& s = *it->second;
     if (!s.inbox.empty()) {
+        std::erase(ready_, &s);
         ShardStats scratch;
         drain(s, scratch);
         engine_stats_.frames_processed += scratch.frames_processed;
@@ -406,27 +414,30 @@ std::size_t FleetEngine::pump() {
     const std::size_t n_shards = config_.n_shards;
     ++engine_stats_.pumps;
 
-    // Ready sessions, sharded by id. Ascending-id within each shard
-    // (map order) — not required for bit-identity, but it makes steal
-    // traces reproducible enough to read. Draining counts as activity
-    // for the residency policy's pump-count clock.
-    std::vector<std::vector<Session*>> shard(n_shards);
+    // Ready sessions (the ones fed since the last pump), sharded by id.
+    // Ascending-id within each shard — not required for bit-identity,
+    // but it makes steal traces reproducible enough to read. Draining
+    // counts as activity for the residency policy's pump-count clock.
+    std::sort(ready_.begin(), ready_.end(),
+              [](const Session* a, const Session* b) {
+                  return a->id < b->id;
+              });
+    for (std::vector<Session*>& shard : shards_) shard.clear();
     std::size_t queued = 0;
-    for (auto& [id, s] : sessions_)
-        if (!s->inbox.empty()) {
-            s->last_active_pump = engine_stats_.pumps;
-            queued += s->inbox.size();
-            shard[static_cast<std::size_t>(id % n_shards)].push_back(
-                s.get());
-        }
+    for (Session* s : ready_) {
+        s->last_active_pump = engine_stats_.pumps;
+        queued += s->inbox.size();
+        shards_[static_cast<std::size_t>(s->id % n_shards)].push_back(s);
+    }
+    ready_.clear();
 
-    last_pump_stats_.assign(n_shards, ShardStats{});
     std::vector<ShardStats>& stats = last_pump_stats_;
+    std::fill(stats.begin(), stats.end(), ShardStats{});
 
     if (queued <= kInlinePumpFrames) {
         // Small pump: drain every shard here, each into its own slot.
         for (std::size_t t = 0; t < n_shards; ++t)
-            for (Session* s : shard[t]) drain(*s, stats[t]);
+            for (Session* s : shards_[t]) drain(*s, stats[t]);
     } else {
         std::vector<std::atomic<std::size_t>> cursor(n_shards);
         for (auto& c : cursor) c.store(0, std::memory_order_relaxed);
@@ -441,8 +452,8 @@ std::size_t FleetEngine::pump() {
                 for (;;) {
                     const std::size_t i =
                         cursor[t].fetch_add(1, std::memory_order_relaxed);
-                    if (i >= shard[t].size()) break;
-                    drain(*shard[t][i], stats[w]);
+                    if (i >= shards_[t].size()) break;
+                    drain(*shards_[t][i], stats[w]);
                     if (t != w) ++stats[w].sessions_stolen;
                 }
             }

@@ -268,6 +268,10 @@ private:
     mutable std::mutex mutex_;  ///< serialises control ops and pump()
     std::map<SessionId, std::unique_ptr<Session>> sessions_;
     SessionId next_id_ = 0;
+    /// Sessions whose inbox went non-empty since the last pump, in feed
+    /// order; pump() sorts them by id and drains only these.
+    std::vector<Session*> ready_;
+    std::vector<std::vector<Session*>> shards_;  ///< per-pump, reused
     std::vector<ShardStats> last_pump_stats_;
     EngineStats engine_stats_;
 };

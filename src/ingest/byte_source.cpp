@@ -5,6 +5,19 @@
 
 namespace blinkradar::ingest {
 
+// -------------------------------------------------------------- ReadyList
+
+void ReadyList::mark(std::uint64_t id) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ids_.push_back(id);
+}
+
+void ReadyList::take(std::vector<std::uint64_t>& out) {
+    out.clear();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    out.swap(ids_);
+}
+
 // ------------------------------------------------------- MemoryByteSource
 
 MemoryByteSource::MemoryByteSource(std::vector<std::uint8_t> bytes,
@@ -62,8 +75,17 @@ class BytePipe::Source : public ByteSource {
 public:
     explicit Source(BytePipe* pipe) : pipe_(pipe) {}
 
+    ~Source() override {
+        // The ready list belongs to the front-end, which may go before
+        // the pipe's producers stop writing.
+        const std::lock_guard<std::mutex> lock(pipe_->mutex_);
+        pipe_->ready_ = nullptr;
+    }
+
     std::size_t read(std::uint8_t* out, std::size_t max) override {
         const std::lock_guard<std::mutex> lock(pipe_->mutex_);
+        // Any write after this read marks again, so none goes unseen.
+        pipe_->marked_ = false;
         const std::size_t n = std::min(max, pipe_->buf_.size());
         std::copy_n(pipe_->buf_.begin(), n, out);
         pipe_->buf_.erase(pipe_->buf_.begin(),
@@ -75,6 +97,14 @@ public:
     bool exhausted() const override {
         const std::lock_guard<std::mutex> lock(pipe_->mutex_);
         return pipe_->closed_ && pipe_->buf_.empty();
+    }
+
+    bool bind_ready(ReadyList& ready, std::uint64_t id) override {
+        const std::lock_guard<std::mutex> lock(pipe_->mutex_);
+        pipe_->ready_ = &ready;
+        pipe_->ready_id_ = id;
+        pipe_->marked_ = false;
+        return true;
     }
 
 private:
@@ -91,12 +121,20 @@ std::size_t BytePipe::write(std::span<const std::uint8_t> bytes) {
     const std::size_t n = std::min(room, bytes.size());
     buf_.insert(buf_.end(), bytes.begin(),
                 bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    if (n > 0) signal_locked();
     return n;
 }
 
 void BytePipe::close() {
     const std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
+    signal_locked();
+}
+
+void BytePipe::signal_locked() {
+    if (ready_ == nullptr || marked_) return;
+    marked_ = true;
+    ready_->mark(ready_id_);
 }
 
 std::size_t BytePipe::buffered() const {

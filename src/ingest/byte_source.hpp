@@ -1,11 +1,19 @@
 // Byte sources the ingest front-end pulls from.
 //
-// The front-end is pull-based: once per pump tick it reads up to a
-// per-stream byte budget from each stream's source, so a slow consumer
-// (full frame queue under the `block` policy) simply stops pulling and
-// the bytes stay where they are — in the file, or in the pipe where the
+// The front-end is pull-based: on a tick it reads up to a per-stream
+// byte budget from each ready stream's source, so a slow consumer (full
+// frame queue under the `block` policy) simply stops pulling and the
+// bytes stay where they are — in the file, or in the pipe where the
 // producer sees the pipe fill up and its writes shorten. That is the
 // whole backpressure story: no source-side buffering policy to tune.
+//
+// Which streams are read is decided by an edge signal. A source that
+// can tell when new bytes (or EOF) arrive binds to the front-end's
+// ReadyList and marks its stream on each such change; the front-end
+// then stops reading it once a read comes back empty and reads it again
+// after the next mark. A source that cannot signal (the default) never
+// leaves the poll set, so it is read on every tick. There is one poll
+// loop either way.
 //
 //   MemoryByteSource  - replays a byte vector (tests, fault sweeps).
 //   FileReplaySource  - streams a .brwf file from disk (br_ingest replay).
@@ -13,7 +21,9 @@
 //                       thread write()s, the front-end reads the other
 //                       end. Bounded; write() accepts a prefix when the
 //                       pipe is nearly full (socket short-write
-//                       semantics) and 0 bytes when full.
+//                       semantics) and 0 bytes when full. Signals: a
+//                       write that lands bytes, and close(), mark the
+//                       stream ready.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +36,21 @@
 #include <vector>
 
 namespace blinkradar::ingest {
+
+/// Stream ids whose sources signalled since the front-end last took the
+/// list. Thread-safe: producers mark from their own threads, the
+/// front-end takes on its driving thread. Duplicates are allowed (the
+/// front-end drops ids already in its poll set).
+class ReadyList {
+public:
+    void mark(std::uint64_t id);
+    /// Move every marked id into `out` (cleared first) and empty the list.
+    void take(std::vector<std::uint64_t>& out);
+
+private:
+    std::mutex mutex_;
+    std::vector<std::uint64_t> ids_;
+};
 
 /// Pull interface the front-end drives. read() returning 0 means
 /// "nothing available right now" — only exhausted() distinguishes a
@@ -46,6 +71,17 @@ public:
     /// source re-opening its file, a transport re-dialling) do so here;
     /// the default is a no-op.
     virtual void reconnect() {}
+
+    /// Edge signal. A source that can tell when read() or exhausted()
+    /// may answer differently (bytes arrived, the producer closed) keeps
+    /// `ready` and marks `id` on every such change, and returns true.
+    /// The front-end then reads it only on ticks after a mark, until a
+    /// read comes back empty. The default cannot signal and returns
+    /// false: the stream never leaves the poll set and is read on every
+    /// tick. The source must stop marking when it is destroyed.
+    virtual bool bind_ready(ReadyList& /*ready*/, std::uint64_t /*id*/) {
+        return false;
+    }
 };
 
 /// Replays an in-memory byte vector, optionally capped to `max_per_read`
@@ -88,16 +124,20 @@ private:
 /// living in the same process (simulator threads, tests, the TSan
 /// drill). Thread-safe; any number of writers, one reader (the
 /// front-end). Reader-side pressure surfaces to writers as short or
-/// zero-length writes.
+/// zero-length writes. Its reader end signals: a write that lands
+/// bytes, and close(), mark the stream on the bound ReadyList — once
+/// per read, so a burst of writes between two reads costs one mark.
 class BytePipe {
 public:
     explicit BytePipe(std::size_t capacity_bytes = 1u << 20);
 
     /// Append up to capacity; returns the bytes accepted (0 when full —
-    /// the producer's cue to back off or drop at its own layer).
+    /// the producer's cue to back off or drop at its own layer). Marks
+    /// the stream ready when it accepts any byte.
     std::size_t write(std::span<const std::uint8_t> bytes);
 
     /// Producer is done; the reader sees EOF once the buffer drains.
+    /// Marks the stream ready.
     void close();
 
     std::size_t buffered() const;
@@ -110,10 +150,17 @@ public:
 private:
     class Source;
 
+    /// Mark the bound stream unless a mark is already pending since the
+    /// last read. Call with mutex_ held.
+    void signal_locked();
+
     mutable std::mutex mutex_;
     std::deque<std::uint8_t> buf_;
     std::size_t capacity_;
     bool closed_ = false;
+    ReadyList* ready_ = nullptr;  ///< bound by the reader end
+    std::uint64_t ready_id_ = 0;
+    bool marked_ = false;  ///< a mark is pending since the last read
 };
 
 }  // namespace blinkradar::ingest

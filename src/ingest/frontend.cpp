@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "common/contracts.hpp"
 #include "obs/telemetry/names.hpp"
@@ -21,6 +22,11 @@ constexpr std::size_t kLatencyStrideShed = 8;
 constexpr fleet::ResidencyPolicy kOverloadResidency{
     .max_resident = 0, .evict_idle_after_pumps = 1};
 constexpr std::uint64_t kMasterSeed = 0xB11Fu;
+
+/// Tick sets are kept in ascending stream id, the replay order.
+constexpr auto by_id = [](const auto* a, const auto* b) {
+    return a->id < b->id;
+};
 
 }  // namespace
 
@@ -52,13 +58,22 @@ struct IngestFrontend::Stream {
     bool policy_forced = false;  ///< shed ladder overrode the policy
     Rng rng;                     ///< watchdog jitter (forked, per stream)
 
+    bool signals = false;  ///< the source marks the ready list
+    bool in_poll = false;  ///< in the poll set, or armed to enter it
+    bool in_queued = false;  ///< in the deliver set (queue non-empty)
+
     std::optional<fleet::SessionId> session;
     /// Block-policy holding slot: the one decoded frame the full queue
     /// refused. While occupied the stream reads no further bytes, so
     /// pressure backs up into the decoder buffer and then the source.
     std::optional<radar::RadarFrame> holding;
 
-    std::uint64_t stall_run = 0;  ///< consecutive silent ticks
+    /// Consecutive silent ticks, current as of polled_tick; while out
+    /// of the poll set with stall_counting, every later tick adds one.
+    std::uint64_t stall_run = 0;
+    std::uint64_t polled_tick = 0;
+    bool stall_counting = false;
+    std::uint64_t watch_due = 0;  ///< key in the watchdog schedule; 0 = none
     std::uint64_t reconnects = 0;
     std::uint64_t backoff_attempts = 0;
     std::uint64_t next_reconnect_tick = 0;
@@ -66,7 +81,7 @@ struct IngestFrontend::Stream {
     std::uint64_t bytes_read = 0;
     std::uint64_t delivered = 0;
 
-    std::vector<std::uint8_t> read_buf;  ///< recycled read scratch
+    DecodeSums decode_share;  ///< this stream's part of decode_sums_
 };
 
 /// Metric handles registered once at construction (hot paths only
@@ -104,7 +119,8 @@ IngestFrontend::IngestFrontend(IngestConfig config,
       spans_(spans),
       master_rng_(kMasterSeed),
       tokens_(config_.admission.capacity),
-      latency_stride_(kLatencyStrideNormal) {
+      latency_stride_(kLatencyStrideNormal),
+      read_buf_(kReadBudgetBytes) {
     const GovernorConfig& g = config_.governor;
     BR_EXPECTS(g.budget_frames_per_tick >= 1);
     BR_EXPECTS(g.widen_at < g.force_drop_at &&
@@ -176,17 +192,90 @@ Admission IngestFrontend::open_stream(std::unique_ptr<ByteSource> source) {
     }
     tokens_ -= 1.0;
     const StreamId id = next_stream_id_++;
-    streams_.emplace(id, std::make_unique<Stream>(id, config_.stream,
-                                                  std::move(source),
-                                                  master_rng_.fork()));
+    Stream& s = *streams_
+                     .emplace(id, std::make_unique<Stream>(
+                                      id, config_.stream, std::move(source),
+                                      master_rng_.fork()))
+                     .first->second;
+    s.signals = s.source->bind_ready(ready_, id);
+    arm(s);
     if (m_) m_->opened->inc();
     trace_line("{\"ev\":\"ingest.open\",\"stream\":" + std::to_string(id) +
                ",\"tick\":" + std::to_string(tick_) + "}");
     return {AdmissionOutcome::kAdmitted, id};
 }
 
+void IngestFrontend::arm(Stream& s) {
+    if (s.in_poll) return;
+    s.in_poll = true;
+    if (s.watch_due != 0) {
+        watch_.erase({s.watch_due, s.id});
+        s.watch_due = 0;
+    }
+    armed_.push_back(&s);
+}
+
+std::uint64_t IngestFrontend::stall_run_at(const Stream& s) const {
+    return s.stall_run + (s.stall_counting ? tick_ - s.polled_tick : 0);
+}
+
+void IngestFrontend::poll() {
+    // Marks from producers (late ones of closed streams are dropped),
+    // then everything armed since the last tick, merged in id order.
+    ready_.take(signalled_);
+    for (const StreamId id : signalled_) {
+        const auto it = streams_.find(id);
+        if (it != streams_.end()) arm(*it->second);
+    }
+    if (!armed_.empty()) {
+        std::sort(armed_.begin(), armed_.end(), by_id);
+        merged_.clear();
+        std::merge(poll_.begin(), poll_.end(), armed_.begin(), armed_.end(),
+                   std::back_inserter(merged_), by_id);
+        poll_.swap(merged_);
+        armed_.clear();
+    }
+
+    newly_queued_.clear();
+    for (Stream* s : poll_) {
+        poll_stream(*s);
+        if (!s->in_queued && s->queue.size() != 0) {
+            s->in_queued = true;
+            newly_queued_.push_back(s);
+        }
+        // The decoder only changes here, so re-tallying each polled
+        // stream keeps the sums equal to the open streams' totals.
+        if (m_ != nullptr) {
+            const DecodeStats& d = s->decoder.stats();
+            retally(*s, {d.bytes_in, d.frames_decoded, d.total_errors(),
+                         d.quarantined_bytes});
+        }
+    }
+    if (!newly_queued_.empty()) {
+        merged_.clear();
+        std::merge(queued_.begin(), queued_.end(), newly_queued_.begin(),
+                   newly_queued_.end(), std::back_inserter(merged_),
+                   by_id);
+        queued_.swap(merged_);
+    }
+}
+
+void IngestFrontend::retally(Stream& s, const DecodeSums& share) {
+    DecodeSums& old = s.decode_share;
+    decode_sums_.bytes_in += share.bytes_in - old.bytes_in;
+    decode_sums_.frames += share.frames - old.frames;
+    decode_sums_.errors += share.errors - old.errors;
+    decode_sums_.quarantined += share.quarantined - old.quarantined;
+    old = share;
+}
+
 void IngestFrontend::poll_stream(Stream& s) {
     bool progress = false;
+
+    // Every tick since the last poll was a silent one.
+    if (s.stall_counting) s.stall_run += tick_ - 1 - s.polled_tick;
+    s.stall_counting = false;
+    s.polled_tick = tick_;
 
     // Retry the holding slot first — it is the oldest undecoded frame.
     if (s.holding) {
@@ -197,6 +286,12 @@ void IngestFrontend::poll_stream(Stream& s) {
             // the held frame is intact on kWouldBlock.)
             s.holding.reset();
             progress = true;
+            if (out != PushOutcome::kAccepted) {
+                // A forced drop_oldest evicted a queued frame (or the
+                // held one was refused): one frame fewer waiting.
+                --backlog_;
+                if (m_) m_->dropped->inc();
+            }
             if (spans_ != nullptr && held_span != 0 &&
                 out != PushOutcome::kDroppedNewest)
                 spans_->hop(held_span, obs::telemetry::SpanHop::kEnqueue);
@@ -213,11 +308,10 @@ void IngestFrontend::poll_stream(Stream& s) {
 
     std::size_t bytes = 0;
     if (!blocked) {
-        s.read_buf.resize(kReadBudgetBytes);
-        bytes = s.source->read(s.read_buf.data(), s.read_buf.size());
+        bytes = s.source->read(read_buf_.data(), read_buf_.size());
         if (bytes > 0) {
             s.bytes_read += bytes;
-            s.decoder.push({s.read_buf.data(), bytes});
+            s.decoder.push({read_buf_.data(), bytes});
             progress = true;
         }
     }
@@ -251,6 +345,9 @@ void IngestFrontend::poll_stream(Stream& s) {
                 const std::uint64_t span = rec->frame.span_id;
                 const PushOutcome out =
                     s.queue.push(std::move(rec->frame), tick_);
+                if (out == PushOutcome::kAccepted ||
+                    out == PushOutcome::kWouldBlock)
+                    ++backlog_;
                 if (out == PushOutcome::kWouldBlock)
                     s.holding = std::move(rec->frame);
                 else if (out == PushOutcome::kDroppedOldest ||
@@ -267,12 +364,35 @@ void IngestFrontend::poll_stream(Stream& s) {
         }
     }
 
+    const bool silent = !blocked && bytes == 0;
     if (progress) {
         s.stall_run = 0;
         s.backoff_attempts = 0;
-    } else if (!blocked && bytes == 0 && !s.source->exhausted()) {
+    } else if (silent && !s.source->exhausted()) {
         ++s.stall_run;  // genuinely silent upstream, not our refusal
     }
+
+    // Leave the poll set when the source is drained and the stream is
+    // not blocked: nothing can change until the source marks again.
+    if (!s.signals || !silent || s.holding.has_value() ||
+        (s.queue.policy() == BackpressurePolicy::kBlock &&
+         s.queue.size() >= s.queue.capacity()))
+        return;
+    s.in_poll = false;
+    s.stall_counting = !s.source->exhausted();
+}
+
+void IngestFrontend::schedule_watchdog(Stream& s) {
+    // The first tick the lazy stall clock reaches the threshold with the
+    // backoff expired; an exhausted stream's clock stands still.
+    std::uint64_t first = 0;
+    if (s.stall_run >= kStallTicks)
+        first = tick_ + 1;
+    else if (s.stall_counting)
+        first = tick_ + (kStallTicks - s.stall_run);
+    if (first == 0) return;
+    s.watch_due = std::max(first, s.next_reconnect_tick);
+    watch_.emplace(s.watch_due, s.id);
 }
 
 std::size_t IngestFrontend::deliver() {
@@ -283,10 +403,12 @@ std::size_t IngestFrontend::deliver() {
     // cycle the queues (and the governor watching them) are for.
     std::size_t budget = config_.governor.budget_frames_per_tick;
     std::size_t total = 0;
-    for (auto& [id, sp] : streams_) {
-        if (budget == 0) break;
-        Stream& s = *sp;
-        if (!s.session) continue;
+    std::size_t keep = 0;
+    std::size_t i = 0;
+    for (; i < queued_.size() && budget != 0; ++i) {
+        // (A queued frame implies a session: frames decode only after
+        // the hello that creates it.)
+        Stream& s = *queued_[i];
         deliver_frames_.clear();
         deliver_ages_.clear();
         const std::size_t want = std::min(budget, kMaxDeliverPerTick);
@@ -307,16 +429,40 @@ std::size_t IngestFrontend::deliver() {
         s.delivered += n;
         budget -= n;
         total += n;
+        if (s.queue.size() != 0)
+            queued_[keep++] = &s;
+        else
+            s.in_queued = false;
     }
+    for (; i < queued_.size(); ++i) queued_[keep++] = queued_[i];
+    queued_.resize(keep);
+    backlog_ -= total;
     if (m_) m_->delivered->inc(total);
     return total;
 }
 
 void IngestFrontend::run_watchdogs() {
-    for (auto& [id, sp] : streams_) {
+    // Due: streams polled this tick whose stall clock is at the
+    // threshold with the backoff expired, and streams out of the poll
+    // set whose scheduled tick came. Fired in ascending id.
+    fired_.clear();
+    for (Stream* s : poll_)
+        if (s->stall_run >= kStallTicks && tick_ >= s->next_reconnect_tick)
+            fired_.push_back(s);
+    while (!watch_.empty() && watch_.begin()->first <= tick_) {
+        Stream& s = stream_ref(watch_.begin()->second);
+        watch_.erase(watch_.begin());
+        s.watch_due = 0;
+        s.stall_run = stall_run_at(s);
+        s.polled_tick = tick_;
+        // A reconnect may bring bytes without a mark: read next tick.
+        arm(s);
+        fired_.push_back(&s);
+    }
+    std::sort(fired_.begin(), fired_.end(), by_id);
+
+    for (Stream* sp : fired_) {
         Stream& s = *sp;
-        if (s.stall_run < kStallTicks) continue;
-        if (tick_ < s.next_reconnect_tick) continue;  // backing off
         s.source->reconnect();
         ++s.reconnects;
         if (m_) m_->reconnects->inc();
@@ -336,7 +482,18 @@ void IngestFrontend::run_watchdogs() {
                    std::to_string(s.id) + ",\"tick\":" +
                    std::to_string(tick_) + ",\"backoff\":" +
                    std::to_string(base + jitter) + "}");
+        s.in_poll = true;  // (polled this tick: it stays in poll_)
     }
+
+    // Streams that left the poll set this tick go on the schedule.
+    std::size_t keep = 0;
+    for (Stream* s : poll_) {
+        if (s->in_poll)
+            poll_[keep++] = s;
+        else
+            schedule_watchdog(*s);
+    }
+    poll_.resize(keep);
 }
 
 void IngestFrontend::set_level(ShedLevel to, double load) {
@@ -364,10 +521,13 @@ void IngestFrontend::set_level(ShedLevel to, double load) {
     }
     if (from == ShedLevel::kForceDropOldest &&
         to < ShedLevel::kForceDropOldest) {
+        // A restored block policy can block a full queue, which the
+        // lazy stall clock does not model: poll such streams again.
         for (auto& [id, sp] : streams_)
             if (sp->policy_forced) {
                 sp->queue.set_policy(config_.stream.policy);
                 sp->policy_forced = false;
+                arm(*sp);
             }
     }
 }
@@ -411,7 +571,7 @@ void IngestFrontend::run_governor(std::size_t backlog, PumpReport& report) {
     // queue is more than half full — are switched to drop_oldest. New
     // laggards are caught on every tick the rung stays engaged.
     if (level_ >= ShedLevel::kForceDropOldest) {
-        for (auto& [id, sp] : streams_) {
+        for (Stream* sp : queued_) {
             Stream& s = *sp;
             if (!s.policy_forced &&
                 s.queue.policy() != BackpressurePolicy::kDropOldest &&
@@ -435,7 +595,7 @@ PumpReport IngestFrontend::pump() {
     PumpReport report;
     report.tick = tick_;
 
-    for (auto& [id, sp] : streams_) poll_stream(*sp);
+    poll();
 
     report.frames_delivered = deliver();
 
@@ -448,12 +608,8 @@ PumpReport IngestFrontend::pump() {
 
     run_watchdogs();
 
-    std::size_t backlog = 0;
-    for (const auto& [id, sp] : streams_)
-        backlog += sp->queue.size() + (sp->holding ? 1 : 0);
-    report.backlog = backlog;
-
-    run_governor(backlog, report);
+    report.backlog = backlog_;
+    run_governor(backlog_, report);
 
     tokens_ = std::min(config_.admission.capacity,
                        tokens_ + config_.admission.refill_per_tick);
@@ -462,22 +618,15 @@ PumpReport IngestFrontend::pump() {
         if (tick_ % latency_stride_ == 0)
             m_->pump_ns->record(report.pump_ns);
         m_->load->set(report.load);
-        m_->backlog->set(static_cast<double>(backlog));
+        m_->backlog->set(static_cast<double>(backlog_));
         m_->tokens->set(tokens_);
-        // Aggregate decoder accounting, refreshed once per tick (the
-        // decoders keep the authoritative counters).
-        std::uint64_t bytes_in = 0, frames = 0, errors = 0, quarantined = 0;
-        for (const auto& [id, sp] : streams_) {
-            const DecodeStats& d = sp->decoder.stats();
-            bytes_in += d.bytes_in;
-            frames += d.frames_decoded;
-            errors += d.total_errors();
-            quarantined += d.quarantined_bytes;
-        }
-        m_->bytes_in->set(static_cast<double>(bytes_in));
-        m_->frames_decoded->set(static_cast<double>(frames));
-        m_->decode_errors->set(static_cast<double>(errors));
-        m_->quarantined_bytes->set(static_cast<double>(quarantined));
+        // Aggregate decoder accounting over the open streams, refreshed
+        // once per tick (the decoders keep the authoritative counters).
+        m_->bytes_in->set(static_cast<double>(decode_sums_.bytes_in));
+        m_->frames_decoded->set(static_cast<double>(decode_sums_.frames));
+        m_->decode_errors->set(static_cast<double>(decode_sums_.errors));
+        m_->quarantined_bytes->set(
+            static_cast<double>(decode_sums_.quarantined));
     }
 
     if (slo_ != nullptr) slo_->tick();
@@ -549,12 +698,22 @@ fleet::SessionStats IngestFrontend::close_stream(StreamId id) {
         for (auto& frame : deliver_frames_)
             engine_.feed(*s.session, std::move(frame));
         s.delivered += deliver_frames_.size();
+        backlog_ -= deliver_frames_.size();
         if (s.holding) {
             engine_.feed(*s.session, std::move(*s.holding));
             s.holding.reset();
+            --backlog_;
         }
         final_stats = engine_.close(*s.session);
     }
+    // Unlink the stream from every tick set and the gauges' sums.
+    if (s.in_poll) {
+        std::erase(poll_, &s);
+        std::erase(armed_, &s);
+    }
+    if (s.in_queued) std::erase(queued_, &s);
+    if (s.watch_due != 0) watch_.erase({s.watch_due, s.id});
+    retally(s, {});
     trace_line("{\"ev\":\"ingest.close\",\"stream\":" + std::to_string(id) +
                ",\"tick\":" + std::to_string(tick_) + "}");
     streams_.erase(id);
@@ -588,7 +747,7 @@ StreamStats IngestFrontend::stream_stats(StreamId id) const {
     out.queued = s.queue.size();
     out.holding = s.holding.has_value();
     out.bytes_read = s.bytes_read;
-    out.stall_run = s.stall_run;
+    out.stall_run = stall_run_at(s);
     out.reconnects = s.reconnects;
     out.saw_bye = s.decoder.saw_bye();
     out.exhausted = s.source->exhausted();

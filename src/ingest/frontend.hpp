@@ -17,18 +17,37 @@
 //
 // One call to pump() is one tick, in a fixed phase order:
 //
-//   poll       - per stream: retry the block-policy holding slot, read
-//                up to the byte budget (skipped while blocked — that is
-//                how pressure reaches the pipe), decode records, queue
-//                frames; hello records create fleet sessions.
-//   deliver    - pop frames oldest-first (ascending stream id) into the
-//                engine, up to the governor's per-tick frame budget.
+//   poll       - per stream in the poll set, ascending id: retry the
+//                block-policy holding slot, read up to the byte budget
+//                (skipped while blocked — that is how pressure reaches
+//                the pipe), decode records, queue frames; hello records
+//                create fleet sessions.
+//   deliver    - pop frames oldest-first (ascending stream id, only
+//                streams with queued frames) into the engine, up to the
+//                governor's per-tick frame budget.
 //   engine     - FleetEngine::pump(), wall latency recorded to metrics.
 //   watchdogs  - stalled sources get reconnect() with deterministic
-//                per-stream jittered exponential backoff.
+//                per-stream jittered exponential backoff, in ascending
+//                id, from a schedule ordered by due tick.
 //   governor   - recompute load, walk the shed ladder one step with
 //                hysteresis, apply the step's side effects.
 //   admission  - refill the token bucket.
+//
+// Tick cost follows the streams that have work, not the streams open.
+// The poll set holds every stream that may have something to read: a
+// stream enters when it opens, when its source signals (ByteSource::
+// bind_ready — a BytePipe write or close), when the watchdog reconnects
+// it, or when the shed ladder restores its policy; it leaves only when
+// a read returns 0 bytes and it holds no held frame and is not blocked.
+// A source that cannot signal never leaves, so it is read every tick.
+// Deliver walks only streams with queued frames; the backlog is a
+// running count; the decoder gauges add the polled streams' deltas.
+// A stream out of the poll set is silent, unblocked and unchanged, so
+// its stall clock is lazy: stall_run grows by one per tick since its
+// last poll (unless its source is exhausted), and its watchdog due tick
+// is known when it leaves. Which streams are visited never changes what
+// a visit computes: every result replays exactly as if each tick walked
+// every stream.
 //
 // Shed ladder (ordered, one step per transition, hysteresis on both
 // edges):
@@ -61,15 +80,18 @@
 //
 // Threading: the front-end is driven by ONE thread (pump/open/close/
 // accessors). Producers on other threads talk to it only through
-// BytePipe, which is internally synchronised; the engine takes its own
-// lock. The TSan suite drives exactly this arrangement.
+// BytePipe, which is internally synchronised, as is the ready list its
+// writes mark; the engine takes its own lock. The TSan suite drives
+// exactly this arrangement.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -295,9 +317,23 @@ private:
     struct Stream;
     struct Metrics;
 
+    /// Decoder totals over open streams (the decoder gauges).
+    struct DecodeSums {
+        std::uint64_t bytes_in = 0;
+        std::uint64_t frames = 0;
+        std::uint64_t errors = 0;
+        std::uint64_t quarantined = 0;
+    };
+
     Stream& stream_ref(StreamId id);
     const Stream& stream_ref(StreamId id) const;
+    void arm(Stream& s);
+    void poll();
     void poll_stream(Stream& s);
+    /// Replace the stream's share of decode_sums_ with `share`.
+    void retally(Stream& s, const DecodeSums& share);
+    std::uint64_t stall_run_at(const Stream& s) const;
+    void schedule_watchdog(Stream& s);
     std::size_t deliver();
     void run_watchdogs();
     void run_governor(std::size_t backlog, PumpReport& report);
@@ -318,8 +354,23 @@ private:
     /// exact "ingest.s<id>." keys are retired next cycle).
     std::vector<StreamId> telemetry_streams_;
 
+    /// Declared before streams_: a source stops marking when its
+    /// stream is destroyed, so the list must outlive every stream.
+    ReadyList ready_;
     std::map<StreamId, std::unique_ptr<Stream>> streams_;
     StreamId next_stream_id_ = 0;
+
+    std::vector<Stream*> poll_;    ///< the poll set, ascending id
+    std::vector<Stream*> armed_;   ///< entering the poll set next tick
+    std::vector<Stream*> queued_;  ///< streams with queued frames, ascending
+    std::vector<Stream*> newly_queued_;  ///< scratch, ascending
+    /// Watchdog schedule of streams out of the poll set: (due tick, id).
+    std::set<std::pair<std::uint64_t, StreamId>> watch_;
+    std::vector<Stream*> fired_;            ///< scratch
+    std::vector<Stream*> merged_;           ///< scratch
+    std::vector<std::uint64_t> signalled_;  ///< scratch
+    std::size_t backlog_ = 0;  ///< queued + holding over open streams
+    DecodeSums decode_sums_;
     Rng master_rng_;
 
     std::uint64_t tick_ = 0;
@@ -331,6 +382,9 @@ private:
     fleet::ResidencyPolicy saved_residency_{};
     std::vector<ShedEvent> shed_events_;
 
+    /// Read scratch shared by every stream (polls run one at a time):
+    /// it stays cache-hot, and a stream costs no 64 KiB buffer of its own.
+    std::vector<std::uint8_t> read_buf_;
     std::vector<radar::RadarFrame> deliver_frames_;  ///< scratch
     std::vector<std::uint64_t> deliver_ages_;        ///< scratch
 };

@@ -257,6 +257,105 @@ TEST(Fleet, SmallPumpsDrainInlineBitIdentical) {
     }
 }
 
+TEST(Fleet, SparseFeedingDrainsOnlyFedSessionsBitIdentical) {
+    // Each pump feeds a changing subset of the sessions; between pumps
+    // sessions are evicted (with and without queued frames, then fed
+    // again) and one is closed with frames still queued. A pump drains
+    // exactly the sessions fed since the previous one — never a closed
+    // one — and every session's results match a bare pipeline at any
+    // shard/pool count.
+    const std::size_t kSessions = 7;
+    const std::size_t kPumps = 60;
+    const std::size_t kClosed = 5;
+    const std::size_t kCloseAtPump = 23;  // a pump that feeds it
+    const auto sims = make_sessions(kSessions, 6.0);
+    std::vector<std::vector<core::FrameResult>> ref(kSessions);
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        core::BlinkRadarPipeline pipe(sims[s].radar);
+        for (const radar::RadarFrame& f : sims[s].frames)
+            ref[s].push_back(pipe.process(f));
+    }
+
+    std::vector<std::uint64_t> base_drained;
+    const std::size_t shard_counts[] = {1, 3, 8};
+    const std::size_t pool_sizes[] = {1, 2, 7};
+    for (const std::size_t n_shards : shard_counts) {
+        for (const std::size_t n_threads : pool_sizes) {
+            ThreadPool pool(n_threads);
+            fleet::FleetConfig cfg;
+            cfg.n_shards = n_shards;
+            cfg.snapshot_interval_frames = 40;
+            fleet::FleetEngine engine(cfg, &pool);
+            std::vector<fleet::SessionId> ids;
+            for (const auto& sim : sims)
+                ids.push_back(engine.create_session(sim.radar));
+
+            std::vector<std::size_t> next(kSessions, 0);
+            std::vector<core::FrameResult> closed_results;
+            std::vector<std::uint64_t> drained_per_pump;
+            const auto evict = [&](std::size_t p, std::size_t s) {
+                if (s != kClosed || p < kCloseAtPump) engine.evict(ids[s]);
+            };
+            for (std::size_t p = 0; p < kPumps; ++p) {
+                const bool closing = p == kCloseAtPump;
+                // An idle session evicted before its feed rehydrates in
+                // this pump; one evicted after its feed keeps its inbox.
+                if (p % 7 == 3) evict(p, p % kSessions);
+                std::uint64_t want_sessions = 0, want_frames = 0;
+                for (std::size_t s = 0; s < kSessions; ++s) {
+                    if (s == kClosed && p > kCloseAtPump) continue;
+                    if ((p + s) % (s % 3 + 2) != 0) continue;
+                    const std::size_t k = 1 + (p + s) % 3;
+                    std::size_t n = 0;
+                    for (; n < k && next[s] < sims[s].frames.size(); ++n)
+                        engine.feed(ids[s], sims[s].frames[next[s]++]);
+                    if (n == 0 || (s == kClosed && closing)) continue;
+                    ++want_sessions;
+                    want_frames += n;
+                }
+                if (p % 5 == 1) evict(p, (p + 2) % kSessions);
+                if (closing) {
+                    // Closed with frames queued: close drains them, and
+                    // no later pump may touch the session again.
+                    closed_results = engine.results(ids[kClosed]);
+                    const fleet::SessionStats st = engine.close(ids[kClosed]);
+                    EXPECT_EQ(st.frames_processed, next[kClosed]);
+                    EXPECT_GT(next[kClosed], closed_results.size());
+                }
+
+                EXPECT_EQ(engine.pump(), want_frames) << "pump " << p;
+                const auto& st = engine.last_pump_stats();
+                ASSERT_EQ(st.size(), n_shards);
+                std::uint64_t drained = 0, frames = 0;
+                for (const fleet::ShardStats& w : st) {
+                    drained += w.sessions_drained;
+                    frames += w.frames_processed;
+                }
+                EXPECT_EQ(drained, want_sessions)
+                    << "pump " << p << " shards=" << n_shards
+                    << " threads=" << n_threads;
+                EXPECT_EQ(frames, want_frames);
+                drained_per_pump.push_back(drained);
+            }
+            if (base_drained.empty()) base_drained = drained_per_pump;
+            EXPECT_EQ(drained_per_pump, base_drained)
+                << "shards=" << n_shards << " threads=" << n_threads;
+            EXPECT_EQ(engine.session_count(), kSessions - 1);
+
+            for (std::size_t s = 0; s < kSessions; ++s) {
+                const std::vector<core::FrameResult>& got =
+                    s == kClosed ? closed_results : engine.results(ids[s]);
+                if (s != kClosed) {
+                    ASSERT_EQ(got.size(), next[s]);
+                }
+                ASSERT_LE(got.size(), ref[s].size());
+                for (std::size_t i = 0; i < got.size(); ++i)
+                    expect_result_eq(got[i], ref[s][i], s, i);
+            }
+        }
+    }
+}
+
 TEST(Fleet, RepeatedEvictRehydrateAcrossAutosnapshotsIsBitIdentical) {
     // Eviction writes into the autosnapshot's buffer and rehydration
     // hands the restored bytes' buffer back to the autosnapshot; cycling

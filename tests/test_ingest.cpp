@@ -1,14 +1,17 @@
 // Ingest front-end coverage: "BRWF" wire round-trip and corruption
 // tolerance (fuzz sweeps that must never throw past the stream
 // boundary), per-stream backpressure determinism across shard/thread
-// sweeps, admission control, stall watchdogs, and the overload drill —
-// producers at 4x the sustainable rate must engage the shed ladder in
-// its documented order without losing a frame silently.
+// sweeps, the ready-set schedule of signalling BytePipe streams (tick
+// for tick against pinned reconnect ticks), admission control, stall
+// watchdogs, and the overload drill — producers at 4x the sustainable
+// rate must engage the shed ladder in its documented order without
+// losing a frame silently.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -637,6 +640,49 @@ TEST(IngestFrontend, WatchdogReconnectsAStalledStream) {
     expect_no_silent_loss(fe, adm.id);
 }
 
+TEST(IngestFrontend, HeldFrameRetryDropIsCounted) {
+    // Stream 1 is blocked and holds the frame its full queue refused,
+    // while stream 0 (lower id) takes the whole deliver budget, so
+    // stream 1's queue stays full. Once the shed ladder forces
+    // drop_oldest on it, the held frame's retry evicts the oldest queued
+    // frame: a queue drop like any other, so ingest.frames.dropped
+    // counts it (and keeps it after the streams close).
+    const auto sims = make_sessions(2, 4.0);
+    ThreadPool pool(1);
+    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    obs::MetricsRegistry reg;
+    ingest::IngestConfig cfg;
+    cfg.governor.budget_frames_per_tick = 1;
+    cfg.governor.engage_ticks = 1;
+    cfg.stream.queue_capacity = 4;
+    ingest::IngestFrontend fe(cfg, engine, &reg);
+
+    std::vector<ingest::StreamId> ids;
+    for (std::size_t i = 0; i < 2; ++i) {
+        const auto adm = fe.open_stream(
+            std::make_unique<ingest::MemoryByteSource>(encode(sims[i], i)));
+        ASSERT_TRUE(adm.admitted());
+        ids.push_back(adm.id);
+    }
+    bool forced_while_holding = false;
+    std::size_t ticks = 0;
+    while (!fe.drained() && ticks++ < 3000) {
+        fe.pump();
+        const ingest::StreamStats st = fe.stream_stats(ids[1]);
+        forced_while_holding |= st.policy_forced && st.holding;
+    }
+    ASSERT_TRUE(fe.drained());
+    EXPECT_TRUE(forced_while_holding);
+    std::uint64_t dropped = 0;
+    for (const ingest::StreamId id : ids) {
+        dropped += fe.stream_stats(id).frames_dropped;
+        expect_no_silent_loss(fe, id);
+        fe.close_stream(id);
+    }
+    EXPECT_GT(dropped, 0u);
+    EXPECT_EQ(reg.counter("ingest.frames.dropped").value(), dropped);
+}
+
 TEST(IngestFrontend, MetricsSurfaceDeliveryAndDecodeAccounting) {
     const auto sims = make_sessions(1, 1.0);
     ThreadPool pool(1);
@@ -782,6 +828,207 @@ TEST(IngestBackpressure, EightStreamsThreePoliciesBitIdenticalAcrossSweep) {
     }
 }
 
+// ------------------------------------------- ready-set sweep (BytePipe)
+
+/// What one pipe sweep run saw, tick by tick and per stream.
+struct PipeSweepRun {
+    /// Per tick: frames_delivered, backlog, level, the four decoder
+    /// gauges, then stall_run, reconnects and holding of each open stream.
+    std::vector<std::vector<double>> ticks;
+    std::vector<std::vector<std::uint64_t>> reconnect_ticks;  ///< per stream
+    std::vector<SweepStream> streams;
+    bool held_with_bytes_waiting = false;
+    std::uint64_t max_stall = 0;
+};
+
+PipeSweepRun run_pipe_sweep(
+    std::size_t n_shards, std::size_t n_threads,
+    const std::vector<sim::SimulatedSession>& sims,
+    const std::vector<std::vector<std::uint8_t>>& encoded) {
+    // Stream roles, by id (pipes written between ticks by this thread,
+    // so every run sees the same bytes on the same tick):
+    //   0  pipe: 2 frames a tick, silent for ticks 16-120, then the rest
+    //   1  pipe: hello + 5 frames, silent until tick 230, then the rest
+    //   2  pipe: a frame a tick, closed by the front-end after tick 40
+    //      with frames queued; its producer writes on into the pipe
+    //   3  pipe: the whole session at tick 1, then closed — blocked under
+    //      kBlock with a held frame and bytes waiting in the pipe
+    //   4  MemoryByteSource, one frame per read (cannot signal)
+    //   5  pipe: hello + 3 frames, silent, closed empty at tick 100 — an
+    //      exhausted source whose stall clock stands at its threshold
+    constexpr std::size_t kStreams = 6;
+    constexpr std::size_t kClosedStream = 2;
+    const std::size_t frame_bytes = frame_record_bytes(sims[0].radar.n_bins());
+    const std::size_t head_bytes = kStreamHeaderBytes + kHelloRecordBytes;
+
+    std::vector<std::unique_ptr<ingest::BytePipe>> pipes;
+    for (std::size_t i = 0; i < kStreams; ++i)
+        pipes.push_back(std::make_unique<ingest::BytePipe>());
+
+    ThreadPool pool(n_threads);
+    fleet::FleetConfig fcfg;
+    fcfg.n_shards = n_shards;
+    fleet::FleetEngine engine(fcfg, &pool);
+    obs::MetricsRegistry reg;
+    ingest::IngestConfig cfg;
+    cfg.governor.budget_frames_per_tick = 6;
+    cfg.stream.queue_capacity = 8;
+    cfg.stream.policy = ingest::BackpressurePolicy::kBlock;
+    ingest::IngestFrontend fe(cfg, engine, &reg);
+
+    std::vector<ingest::StreamId> ids;
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        std::unique_ptr<ingest::ByteSource> src =
+            i == 4 ? std::make_unique<ingest::MemoryByteSource>(encoded[i],
+                                                                frame_bytes)
+                   : pipes[i]->make_source();
+        const auto adm = fe.open_stream(std::move(src));
+        EXPECT_TRUE(adm.admitted());
+        ids.push_back(adm.id);
+    }
+
+    // Write the next `frames` frame records (the hello goes with the
+    // first); once every frame is out, the bye follows and the pipe
+    // closes.
+    std::vector<std::size_t> written(kStreams, 0);
+    const auto write_frames = [&](std::size_t i, std::size_t frames) {
+        const std::vector<std::uint8_t>& bytes = encoded[i];
+        if (written[i] == bytes.size()) return;
+        std::size_t target =
+            std::max(written[i], head_bytes) + frames * frame_bytes;
+        if (target + frame_bytes > bytes.size()) target = bytes.size();
+        written[i] += pipes[i]->write(
+            {bytes.data() + written[i], target - written[i]});
+        if (written[i] == bytes.size()) pipes[i]->close();
+    };
+
+    PipeSweepRun out;
+    out.reconnect_ticks.resize(kStreams);
+    std::vector<std::uint64_t> reconnects(kStreams, 0);
+    bool closed = false;
+    for (std::uint64_t t = 1; t <= 600; ++t) {
+        if (t <= 15 || t > 120) write_frames(0, 2);
+        if (t == 1) write_frames(1, 5);
+        if (t >= 230) write_frames(1, 4);
+        if (t <= 60) write_frames(kClosedStream, t == 40 ? 8 : 1);
+        if (t == 1) write_frames(3, sims[3].frames.size());
+        if (t == 1) write_frames(5, 3);
+        if (t == 100) pipes[5]->close();
+
+        const ingest::PumpReport rep = fe.pump();
+        std::vector<double> row = {
+            static_cast<double>(rep.frames_delivered),
+            static_cast<double>(rep.backlog),
+            static_cast<double>(rep.level),
+            reg.gauge("ingest.bytes_in").value(),
+            reg.gauge("ingest.frames.decoded").value(),
+            reg.gauge("ingest.decode.errors").value(),
+            reg.gauge("ingest.decode.quarantined_bytes").value()};
+        for (std::size_t i = 0; i < kStreams; ++i) {
+            if (i == kClosedStream && closed) continue;
+            const ingest::StreamStats st = fe.stream_stats(ids[i]);
+            row.push_back(static_cast<double>(st.stall_run));
+            row.push_back(static_cast<double>(st.reconnects));
+            row.push_back(st.holding ? 1.0 : 0.0);
+            if (st.reconnects != reconnects[i])
+                out.reconnect_ticks[i].push_back(t);
+            reconnects[i] = st.reconnects;
+            out.max_stall = std::max(out.max_stall, st.stall_run);
+            if (i == 3 && st.holding && pipes[3]->buffered() > 0)
+                out.held_with_bytes_waiting = true;
+        }
+        out.ticks.push_back(std::move(row));
+
+        if (t == 40) {
+            EXPECT_GT(fe.stream_stats(ids[kClosedStream]).queued, 0u);
+            out.streams.resize(kStreams);
+            SweepStream& row2 = out.streams[kClosedStream];
+            const ingest::StreamStats st = fe.stream_stats(ids[kClosedStream]);
+            row2.decoded = st.frames_decoded;
+            row2.dropped = st.frames_dropped;
+            row2.blinks = engine.blinks(*fe.session_of(ids[kClosedStream]));
+            row2.processed =
+                fe.close_stream(ids[kClosedStream]).frames_processed;
+            row2.delivered = row2.processed;
+            closed = true;
+        }
+        if (t > 300 && fe.drained()) break;
+    }
+    EXPECT_TRUE(fe.drained());
+
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        if (i == kClosedStream) continue;
+        const ingest::StreamStats st = fe.stream_stats(ids[i]);
+        SweepStream& row = out.streams[i];
+        row.decoded = st.frames_decoded;
+        row.delivered = st.frames_delivered;
+        row.dropped = st.frames_dropped;
+        expect_no_silent_loss(fe, ids[i]);
+        row.blinks = engine.blinks(*fe.session_of(ids[i]));
+        row.processed = fe.close_stream(ids[i]).frames_processed;
+    }
+    return out;
+}
+
+TEST(IngestReadySet, PipeStreamsBitIdenticalAcrossSweep) {
+    const std::size_t kStreams = 6;
+    const auto sims = make_sessions(kStreams, 8.0);
+    std::vector<std::vector<std::uint8_t>> encoded;
+    for (std::size_t i = 0; i < kStreams; ++i)
+        encoded.push_back(encode(sims[i], i));
+
+    const PipeSweepRun base = run_pipe_sweep(1, 1, sims, encoded);
+
+    // The schedule reached the cases the ready set must get right.
+    EXPECT_TRUE(base.held_with_bytes_waiting);
+    EXPECT_GT(base.max_stall, 100u);
+    for (std::size_t i : {0u, 1u, 3u, 4u})
+        EXPECT_EQ(base.streams[i].decoded, sims[i].frames.size()) << i;
+    EXPECT_EQ(base.streams[5].decoded, 3u);
+    // Reconnect ticks of the silent streams, as walking every stream on
+    // every tick schedules them (stall threshold 50, backoff 4 << n
+    // capped at 256, plus the stream's forked jitter).
+    EXPECT_EQ(base.reconnect_ticks[0],
+              (std::vector<std::uint64_t>{65, 69, 78, 105}));
+    EXPECT_EQ(base.reconnect_ticks[1],
+              (std::vector<std::uint64_t>{51, 55, 71, 94, 138, 226}));
+    EXPECT_EQ(base.reconnect_ticks[5],
+              (std::vector<std::uint64_t>{51, 57, 66, 88, 141, 255}));
+
+    const std::size_t shard_counts[] = {1, 3, 8};
+    const std::size_t pool_sizes[] = {1, 2, 7};
+    for (const std::size_t n_shards : shard_counts) {
+        for (const std::size_t n_threads : pool_sizes) {
+            if (n_shards == 1 && n_threads == 1) continue;
+            const PipeSweepRun got =
+                run_pipe_sweep(n_shards, n_threads, sims, encoded);
+            ASSERT_EQ(got.ticks.size(), base.ticks.size());
+            for (std::size_t t = 0; t < got.ticks.size(); ++t)
+                ASSERT_EQ(got.ticks[t], base.ticks[t])
+                    << "tick " << t + 1 << " shards=" << n_shards
+                    << " threads=" << n_threads;
+            EXPECT_EQ(got.reconnect_ticks, base.reconnect_ticks);
+            for (std::size_t s = 0; s < kStreams; ++s) {
+                EXPECT_EQ(got.streams[s].decoded, base.streams[s].decoded);
+                EXPECT_EQ(got.streams[s].delivered,
+                          base.streams[s].delivered);
+                EXPECT_EQ(got.streams[s].dropped, base.streams[s].dropped);
+                EXPECT_EQ(got.streams[s].processed,
+                          base.streams[s].processed);
+                ASSERT_EQ(got.streams[s].blinks.size(),
+                          base.streams[s].blinks.size());
+                for (std::size_t b = 0; b < got.streams[s].blinks.size();
+                     ++b) {
+                    EXPECT_EQ(got.streams[s].blinks[b].peak_s,
+                              base.streams[s].blinks[b].peak_s);
+                    EXPECT_EQ(got.streams[s].blinks[b].magnitude,
+                              base.streams[s].blinks[b].magnitude);
+                }
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------- overload drill
 
 /// The deterministic slice of an aggregated telemetry snapshot — what
@@ -893,6 +1140,7 @@ struct DrillOutcome {
     bool slo_burning_after = false;
     std::uint64_t slo_good = 0;
     std::uint64_t slo_bad = 0;
+    std::uint64_t dropped_metric = 0;  ///< ingest.frames.dropped, all closed
 };
 
 DrillOutcome run_overload(std::size_t n_shards, std::size_t n_threads,
@@ -993,6 +1241,7 @@ DrillOutcome run_overload(std::size_t n_shards, std::size_t n_threads,
         row.processed = fe.close_stream(id).frames_processed;
         out.streams.push_back(std::move(row));
     }
+    out.dropped_metric = reg.counter("ingest.frames.dropped").value();
     return out;
 }
 
@@ -1020,6 +1269,10 @@ TEST(IngestOverload, ShedLadderEngagesInOrderWithNoSilentLossAndBitIdentity) {
     std::uint64_t total_dropped = 0;
     for (const auto& s : base.streams) total_dropped += s.dropped;
     EXPECT_GT(total_dropped, 0u);  // forced drop_oldest shed real frames
+    // The drop metric counts every queue drop, including the ones a held
+    // frame's retry makes once drop_oldest is forced on a blocked stream,
+    // and keeps the drops of streams already closed.
+    EXPECT_EQ(base.dropped_metric, total_dropped);
     // ...and were fully released once the overload passed.
     EXPECT_EQ(base.final_level, ingest::ShedLevel::kNormal);
     EXPECT_EQ(base.final_residency.max_resident, 0u);
@@ -1159,11 +1412,14 @@ TEST(IngestConcurrency, PipeProducersAgainstThePumpDrill) {
     // drain budget: a producer blocked on a full pipe needs the pump to
     // keep reading, so stopping early would deadlock the joins below
     // (seen on heavily loaded CI where the pump thread outruns starved
-    // producers through the whole tick budget).
-    std::size_t ticks = 0;
+    // producers). The guard against a hang is wall time, not a tick
+    // count: a tick with nothing ready costs next to nothing, so a
+    // starved producer can take any number of ticks to get scheduled.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
     while ((producers_done.load(std::memory_order_acquire) < kStreams ||
             !fe.drained()) &&
-           ticks++ < 200000)
+           std::chrono::steady_clock::now() < give_up)
         fe.pump();
     ASSERT_EQ(producers_done.load(), kStreams);
     for (auto& p : producers) p.join();
