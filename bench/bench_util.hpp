@@ -40,17 +40,6 @@ inline sim::ScenarioConfig reference_scenario(const physio::DriverProfile& d,
     return sc;
 }
 
-/// Mean blink-detection accuracy over several repeated sessions.
-inline double mean_accuracy(const sim::ScenarioConfig& scenario,
-                            std::size_t reps,
-                            const core::PipelineConfig& pipeline = {}) {
-    const std::vector<double> acc =
-        eval::repeated_accuracies(scenario, reps, pipeline);
-    double sum = 0.0;
-    for (const double a : acc) sum += a;
-    return sum / static_cast<double>(acc.size());
-}
-
 /// Mean blink-detection accuracy over a batch of scenarios (one session
 /// each), fanned out over the thread pool by eval::run_sessions.
 inline double mean_accuracy(std::span<const sim::ScenarioConfig> scenarios,

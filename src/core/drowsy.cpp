@@ -30,34 +30,6 @@ void DrowsinessDetector::train(std::span<const double> awake_rates,
     trained_ = true;
 }
 
-namespace {
-constexpr std::uint32_t kDrowsyTag = state::make_tag("DRWS");
-constexpr std::uint16_t kDrowsyVersion = 1;
-}  // namespace
-
-void DrowsinessDetector::save_state(state::StateWriter& writer) const {
-    writer.begin_section(kDrowsyTag, kDrowsyVersion);
-    writer.write_bool(trained_);
-    writer.write_f64(awake_mean_);
-    writer.write_f64(drowsy_mean_);
-    writer.write_f64(threshold_);
-    writer.end_section();
-}
-
-void DrowsinessDetector::restore_state(state::StateReader& reader) {
-    const std::uint16_t version = reader.open_section(kDrowsyTag);
-    if (version > kDrowsyVersion)
-        throw state::SnapshotError(
-            "DRWS: snapshot section version " + std::to_string(version) +
-            " is newer than this build supports (" +
-            std::to_string(kDrowsyVersion) + ")");
-    trained_ = reader.read_bool();
-    awake_mean_ = reader.read_f64();
-    drowsy_mean_ = reader.read_f64();
-    threshold_ = reader.read_f64();
-    reader.close_section();
-}
-
 DrowsinessLabel DrowsinessDetector::classify(double blink_rate_per_min) const {
     BR_EXPECTS(trained_);
     return blink_rate_per_min > threshold_ ? DrowsinessLabel::kDrowsy

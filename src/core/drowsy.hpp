@@ -11,7 +11,6 @@
 
 #include "common/units.hpp"
 #include "core/levd.hpp"
-#include "state/snapshot.hpp"
 
 namespace blinkradar::core {
 
@@ -42,11 +41,6 @@ public:
 
     double awake_mean() const noexcept { return awake_mean_; }
     double drowsy_mean() const noexcept { return drowsy_mean_; }
-
-    /// Snapshot the trained per-user model (section "DRWS") so a
-    /// restarted process classifies without re-training.
-    void save_state(state::StateWriter& writer) const;
-    void restore_state(state::StateReader& reader);
 
 private:
     bool trained_ = false;

@@ -288,16 +288,4 @@ void FrameGuard::restore_state(state::StateReader& reader) {
     reader.close_section();
 }
 
-void FrameGuard::reset() {
-    have_last_ = false;
-    last_ts_ = 0.0;
-    last_good_.bins.clear();
-    out_.clear();
-    fault_events_.clear();
-    faults_in_window_ = 0;
-    health_ = HealthState::kOk;
-    consecutive_quarantined_ = 0;
-    pending_warm_restart_ = false;
-}
-
 }  // namespace blinkradar::core

@@ -93,9 +93,6 @@ public:
     /// Rolling fault fraction over the health window (diagnostics).
     double fault_rate() const noexcept;
 
-    /// Forget stream history and return to kOk (full pipeline reset).
-    void reset();
-
     /// Snapshot the guard (section "GURD"): held baseline frame, health
     /// machine, rolling fault window, and cumulative stats, so a
     /// restored guard makes the same admit() decisions the original

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/units.hpp"
-#include "dsp/window.hpp"
 
 namespace blinkradar::core {
 
@@ -80,8 +79,7 @@ struct PipelineConfig {
     std::string metrics_prefix{};
 
     // --- Noise reduction (Section IV-B1) ---
-    std::size_t fir_order = 26;               ///< paper: order 26
-    dsp::WindowType fir_window = dsp::WindowType::kHamming;
+    std::size_t fir_order = 26;  ///< paper: order 26, Hamming window
     /// Fast-time FIR cutoff as a fraction of the fast-time sampling rate.
     double fir_cutoff_norm = 0.10;
     /// Fast-time smoothing window, in range bins. (The paper smooths over

@@ -30,6 +30,11 @@ constexpr std::uint8_t kAutoPathByte = 2;
 // removed; a dump that enabled either one cannot be replayed.
 constexpr double kRetiredVetoOff = 1.5;
 constexpr bool kRetiredCompensationOff = false;
+// The FIR window was a PipelineConfig setting (0 = rectangular,
+// 1 = Hamming, 2 = Hann, 3 = Blackman) and is now always Hamming; its
+// slot still holds 1, and a dump recorded with another window cannot be
+// replayed.
+constexpr std::uint8_t kHammingWindowByte = 1;
 
 /// Bit-pattern double equality: replay verification must distinguish
 /// -0.0 from 0.0 and treat NaN == NaN (a repeated NaN is *correct*
@@ -69,7 +74,7 @@ void save_flight_configs(state::StateWriter& writer,
     writer.write_f64(radar.phase_noise_rad);
 
     writer.write_u64(pipeline.fir_order);
-    writer.write_u8(static_cast<std::uint8_t>(pipeline.fir_window));
+    writer.write_u8(kHammingWindowByte);
     writer.write_f64(pipeline.fir_cutoff_norm);
     writer.write_u64(pipeline.smooth_window_bins);
     writer.write_f64(pipeline.background_alpha);
@@ -136,8 +141,13 @@ FlightConfigs load_flight_configs(state::StateReader& reader) {
     c.radar.phase_noise_rad = reader.read_f64();
 
     c.pipeline.fir_order = reader.read_size();
-    c.pipeline.fir_window =
-        read_enum(reader, "fir_window", dsp::WindowType::kBlackman);
+    const std::uint8_t fir_window = reader.read_u8();
+    if (fir_window != kHammingWindowByte)
+        throw state::SnapshotError(
+            "FRCF: dump was recorded with fir_window byte " +
+            std::to_string(fir_window) + ", but this build's FIR window is "
+            "fixed at Hamming (" + std::to_string(kHammingWindowByte) +
+            ") and cannot replay it");
     c.pipeline.fir_cutoff_norm = reader.read_f64();
     c.pipeline.smooth_window_bins = reader.read_size();
     c.pipeline.background_alpha = reader.read_f64();

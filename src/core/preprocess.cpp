@@ -12,8 +12,7 @@ namespace blinkradar::core {
 Preprocessor::Preprocessor(const PipelineConfig& config)
     : fir_(dsp::FirFilter::low_pass(config.fir_order,
                                     /*cutoff_hz=*/config.fir_cutoff_norm,
-                                    /*sample_rate_hz=*/1.0,
-                                    config.fir_window)),
+                                    /*sample_rate_hz=*/1.0)),
       smooth_window_(config.smooth_window_bins) {
     BR_EXPECTS(config.fir_cutoff_norm > 0.0 && config.fir_cutoff_norm < 0.5);
     BR_EXPECTS(config.smooth_window_bins >= 1);

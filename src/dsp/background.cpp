@@ -85,22 +85,4 @@ void LoopbackFilter::restore_state(state::StateReader& reader) {
     reader.close_section();
 }
 
-std::vector<ComplexSignal> subtract_mean_background(
-    const std::vector<ComplexSignal>& frames) {
-    BR_EXPECTS(!frames.empty());
-    const std::size_t n_bins = frames.front().size();
-    for (const auto& f : frames) BR_EXPECTS(f.size() == n_bins);
-
-    ComplexSignal mean(n_bins, Complex(0.0, 0.0));
-    for (const auto& f : frames)
-        for (std::size_t b = 0; b < n_bins; ++b) mean[b] += f[b];
-    const double inv_n = 1.0 / static_cast<double>(frames.size());
-    for (auto& m : mean) m *= inv_n;
-
-    std::vector<ComplexSignal> out(frames.size(), ComplexSignal(n_bins));
-    for (std::size_t t = 0; t < frames.size(); ++t)
-        for (std::size_t b = 0; b < n_bins; ++b) out[t][b] = frames[t][b] - mean[b];
-    return out;
-}
-
 }  // namespace blinkradar::dsp

@@ -3,13 +3,11 @@
 // The paper removes reflections from static objects (seats, steering
 // wheel, direct antenna leakage) with a "loopback filter": an exponential
 // estimate of the static component per range bin, subtracted from each new
-// frame. A batch mean-subtraction variant is provided for offline use and
-// for the Fig. 8 bench.
+// frame.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "dsp/dsp_types.hpp"
 #include "state/snapshot.hpp"
@@ -73,11 +71,5 @@ private:
     double alpha_;
     bool primed_ = false;
 };
-
-/// Batch background subtraction: subtract the per-bin slow-time mean from
-/// every frame. `frames` is a slow-time sequence of equal-length range
-/// profiles.
-std::vector<ComplexSignal> subtract_mean_background(
-    const std::vector<ComplexSignal>& frames);
 
 }  // namespace blinkradar::dsp

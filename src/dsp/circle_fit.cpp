@@ -54,8 +54,7 @@ bool degenerate(std::span<const Complex> pts) {
     return scale < 1e-24 || cov_det < 1e-12 * scale * scale;
 }
 
-}  // namespace
-
+// RMS residual of `points` against an already-fitted circle.
 double circle_rms_residual(std::span<const Complex> points,
                            const CircleFit& fit) {
     BR_EXPECTS(!points.empty());
@@ -68,6 +67,8 @@ double circle_rms_residual(std::span<const Complex> points,
     }
     return std::sqrt(acc / static_cast<double>(points.size()));
 }
+
+}  // namespace
 
 CircleFit fit_circle_kasa(std::span<const Complex> points) {
     CircleFit out;

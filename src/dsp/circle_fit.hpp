@@ -34,8 +34,4 @@ CircleFit fit_circle_pratt(std::span<const Complex> points);
 /// Taubin fit; near-identical accuracy to Pratt, provided for ablations.
 CircleFit fit_circle_taubin(std::span<const Complex> points);
 
-/// RMS residual of `points` against an already-fitted circle.
-double circle_rms_residual(std::span<const Complex> points,
-                           const CircleFit& fit);
-
 }  // namespace blinkradar::dsp

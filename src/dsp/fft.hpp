@@ -1,8 +1,8 @@
 // Radix-2 iterative FFT and helpers.
 //
-// Implemented from scratch (no external dependency). Used by the radar
-// simulator (range-profile synthesis checks), the background-subtraction
-// stage, and the spectrum benches that reproduce the paper's Fig. 5/6.
+// Implemented from scratch (no external dependency). The Fig. 5 bench and
+// signal_explorer plot its real-signal magnitude spectrum; the perf bench
+// times fft_inplace.
 #pragma once
 
 #include <cstddef>
@@ -21,26 +21,8 @@ std::size_t next_power_of_two(std::size_t n);
 /// In-place forward FFT. `data.size()` must be a power of two.
 void fft_inplace(std::span<Complex> data);
 
-/// In-place inverse FFT (includes the 1/N normalisation).
-void ifft_inplace(std::span<Complex> data);
-
-/// Forward FFT of a complex signal, zero-padded to the next power of two.
-ComplexSignal fft(std::span<const Complex> input);
-
-/// Forward FFT of a real signal, zero-padded to the next power of two.
-ComplexSignal fft_real(std::span<const double> input);
-
-/// Inverse FFT; input size must be a power of two.
-ComplexSignal ifft(std::span<const Complex> input);
-
-/// |X[k]|^2 for each bin of the forward FFT (zero-padded to pow2).
-RealSignal power_spectrum(std::span<const Complex> input);
-
 /// Magnitude spectrum |X[k]| of a real signal (zero-padded to pow2),
 /// returning only the first N/2+1 (non-negative frequency) bins.
 RealSignal magnitude_spectrum_real(std::span<const double> input);
-
-/// Shift zero-frequency component to the centre of the spectrum.
-ComplexSignal fftshift(std::span<const Complex> input);
 
 }  // namespace blinkradar::dsp

@@ -6,6 +6,7 @@
 #include "common/contracts.hpp"
 #include "common/units.hpp"
 #include "dsp/frame_kernels.hpp"
+#include "dsp/window.hpp"
 
 namespace blinkradar::dsp {
 
@@ -17,10 +18,9 @@ double sinc(double x) {
 }
 
 // Ideal windowed-sinc low-pass taps with normalised cutoff fc in (0, 0.5).
-RealSignal design_lowpass_taps(std::size_t order, double fc_norm,
-                               WindowType window) {
+RealSignal design_lowpass_taps(std::size_t order, double fc_norm) {
     const std::size_t n_taps = order + 1;
-    const RealSignal w = make_window(window, n_taps);
+    const RealSignal w = hamming_window(n_taps);
     RealSignal taps(n_taps);
     const double mid = static_cast<double>(order) / 2.0;
     for (std::size_t i = 0; i < n_taps; ++i) {
@@ -42,40 +42,11 @@ FirFilter::FirFilter(RealSignal taps) : taps_(std::move(taps)) {
 }
 
 FirFilter FirFilter::low_pass(std::size_t order, double cutoff_hz,
-                              double sample_rate_hz, WindowType window) {
+                              double sample_rate_hz) {
     BR_EXPECTS(order >= 2);
     BR_EXPECTS(sample_rate_hz > 0.0);
     BR_EXPECTS(cutoff_hz > 0.0 && cutoff_hz < sample_rate_hz / 2.0);
-    return FirFilter(
-        design_lowpass_taps(order, cutoff_hz / sample_rate_hz, window));
-}
-
-FirFilter FirFilter::high_pass(std::size_t order, double cutoff_hz,
-                               double sample_rate_hz, WindowType window) {
-    BR_EXPECTS(order >= 2 && order % 2 == 0);
-    BR_EXPECTS(sample_rate_hz > 0.0);
-    BR_EXPECTS(cutoff_hz > 0.0 && cutoff_hz < sample_rate_hz / 2.0);
-    RealSignal taps =
-        design_lowpass_taps(order, cutoff_hz / sample_rate_hz, window);
-    // Spectral inversion: negate all taps and add 1 to the centre tap.
-    for (double& t : taps) t = -t;
-    taps[order / 2] += 1.0;
-    return FirFilter(std::move(taps));
-}
-
-FirFilter FirFilter::band_pass(std::size_t order, double low_hz, double high_hz,
-                               double sample_rate_hz, WindowType window) {
-    BR_EXPECTS(order >= 2 && order % 2 == 0);
-    BR_EXPECTS(sample_rate_hz > 0.0);
-    BR_EXPECTS(low_hz > 0.0 && low_hz < high_hz &&
-               high_hz < sample_rate_hz / 2.0);
-    const RealSignal lp_high =
-        design_lowpass_taps(order, high_hz / sample_rate_hz, window);
-    const RealSignal lp_low =
-        design_lowpass_taps(order, low_hz / sample_rate_hz, window);
-    RealSignal taps(order + 1);
-    for (std::size_t i = 0; i <= order; ++i) taps[i] = lp_high[i] - lp_low[i];
-    return FirFilter(std::move(taps));
+    return FirFilter(design_lowpass_taps(order, cutoff_hz / sample_rate_hz));
 }
 
 RealSignal FirFilter::filter(std::span<const double> input) const {
@@ -130,18 +101,6 @@ RealSignal FirFilter::filtfilt(std::span<const double> input) const {
     RealSignal backward = filter(forward);
     std::reverse(backward.begin(), backward.end());
     return backward;
-}
-
-double FirFilter::magnitude_response(double freq_hz,
-                                     double sample_rate_hz) const {
-    BR_EXPECTS(sample_rate_hz > 0.0);
-    const double omega = constants::kTwoPi * freq_hz / sample_rate_hz;
-    Complex h(0.0, 0.0);
-    for (std::size_t k = 0; k < taps_.size(); ++k) {
-        h += taps_[k] * Complex(std::cos(omega * static_cast<double>(k)),
-                                -std::sin(omega * static_cast<double>(k)));
-    }
-    return std::abs(h);
 }
 
 double FirFilter::group_delay_samples() const noexcept {

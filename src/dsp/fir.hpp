@@ -2,14 +2,14 @@
 //
 // The paper's noise-reduction stage uses a low-pass FIR of order 26 with a
 // Hamming window, cascaded with a 50-point smoothing filter (see
-// core/preprocess.hpp). This module provides the general designer.
+// core/preprocess.hpp). The receiver and the vibration model design their
+// low-pass filters with the same designer.
 #pragma once
 
 #include <cstddef>
 #include <span>
 
 #include "dsp/dsp_types.hpp"
-#include "dsp/window.hpp"
 
 namespace blinkradar::dsp {
 
@@ -19,26 +19,12 @@ public:
     /// Construct directly from taps (must be non-empty).
     explicit FirFilter(RealSignal taps);
 
-    /// Design a low-pass filter.
+    /// Design a Hamming-windowed low-pass filter.
     /// \param order       filter order (taps = order + 1); must be >= 2.
     /// \param cutoff_hz   -6 dB cutoff frequency.
     /// \param sample_rate_hz sampling rate; cutoff must be < Nyquist.
-    /// \param window      window applied to the ideal sinc response.
     static FirFilter low_pass(std::size_t order, double cutoff_hz,
-                              double sample_rate_hz,
-                              WindowType window = WindowType::kHamming);
-
-    /// Design a high-pass filter via spectral inversion of the low-pass.
-    /// `order` must be even so the impulse response has a centre tap.
-    static FirFilter high_pass(std::size_t order, double cutoff_hz,
-                               double sample_rate_hz,
-                               WindowType window = WindowType::kHamming);
-
-    /// Design a band-pass filter (low_hz < high_hz < Nyquist). `order`
-    /// must be even.
-    static FirFilter band_pass(std::size_t order, double low_hz, double high_hz,
-                               double sample_rate_hz,
-                               WindowType window = WindowType::kHamming);
+                              double sample_rate_hz);
 
     /// Causal filtering; output has the same length as the input (the
     /// first `order` samples contain the start-up transient).
@@ -63,10 +49,6 @@ public:
     /// Doubles the magnitude response in dB but removes the group delay;
     /// used where waveform timing matters (blink event localisation).
     RealSignal filtfilt(std::span<const double> input) const;
-
-    /// Magnitude of the frequency response at `freq_hz` given the sampling
-    /// rate (direct evaluation of the DTFT of the taps).
-    double magnitude_response(double freq_hz, double sample_rate_hz) const;
 
     /// Group delay in samples (linear phase: (taps-1)/2).
     double group_delay_samples() const noexcept;

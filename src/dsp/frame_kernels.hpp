@@ -46,7 +46,7 @@ struct KernelTable {
     /// Centred moving average evaluated from prefix sums (`pi`/`pq` hold
     /// n+1 elements). Interior samples (constant window 2*half+1) are
     /// vectorized; shrinking-window edges use the exact scalar formula of
-    /// dsp::moving_average_impl.
+    /// dsp::moving_average_into.
     void (*smooth_from_prefix)(const double* pi, const double* pq,
                                std::size_t n, std::size_t half, double* oi,
                                double* oq) = nullptr;

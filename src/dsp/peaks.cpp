@@ -1,17 +1,11 @@
 #include "dsp/peaks.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/contracts.hpp"
 
 namespace blinkradar::dsp {
 
-namespace {
-
-std::vector<std::size_t> find_extrema_impl(std::span<const double> signal,
-                                           std::size_t min_separation,
-                                           bool maxima) {
+std::vector<std::size_t> find_local_maxima(std::span<const double> signal,
+                                           std::size_t min_separation) {
     std::vector<std::size_t> raw;
     const std::size_t n = signal.size();
     if (n < 3) return raw;
@@ -19,26 +13,22 @@ std::vector<std::size_t> find_extrema_impl(std::span<const double> signal,
         const double prev = signal[i - 1];
         const double cur = signal[i];
         // Plateau handling: scan forward over equal samples; accept the
-        // plateau start if the sample after the plateau continues the
-        // extremum shape.
+        // plateau start if the sample after the plateau falls again.
         std::size_t j = i;
         while (j + 1 < n && signal[j + 1] == cur) ++j;
         if (j + 1 >= n) break;
         const double next = signal[j + 1];
-        const bool is_ext = maxima ? (cur > prev && cur > next)
-                                   : (cur < prev && cur < next);
-        if (is_ext) raw.push_back(i);
+        if (cur > prev && cur > next) raw.push_back(i);
         i = j;  // skip the plateau
     }
     if (min_separation <= 1 || raw.size() < 2) return raw;
 
-    // Greedy suppression: visit candidates from most to least extreme,
-    // accept if no already-accepted extremum is within min_separation.
+    // Greedy suppression: visit candidates from largest to smallest,
+    // accept if no already-accepted maximum is within min_separation.
     std::vector<std::size_t> order(raw.size());
     for (std::size_t i = 0; i < raw.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return maxima ? signal[raw[a]] > signal[raw[b]]
-                      : signal[raw[a]] < signal[raw[b]];
+        return signal[raw[a]] > signal[raw[b]];
     });
     std::vector<bool> keep(raw.size(), false);
     std::vector<std::size_t> accepted;
@@ -61,66 +51,6 @@ std::vector<std::size_t> find_extrema_impl(std::span<const double> signal,
     for (std::size_t i = 0; i < raw.size(); ++i)
         if (keep[i]) out.push_back(raw[i]);
     return out;
-}
-
-}  // namespace
-
-std::vector<std::size_t> find_local_maxima(std::span<const double> signal,
-                                           std::size_t min_separation) {
-    return find_extrema_impl(signal, min_separation, /*maxima=*/true);
-}
-
-std::vector<std::size_t> find_local_minima(std::span<const double> signal,
-                                           std::size_t min_separation) {
-    return find_extrema_impl(signal, min_separation, /*maxima=*/false);
-}
-
-std::vector<Extremum> alternating_extrema(std::span<const double> signal) {
-    const auto maxima = find_local_maxima(signal);
-    const auto minima = find_local_minima(signal);
-    std::vector<Extremum> merged;
-    merged.reserve(maxima.size() + minima.size());
-    for (const std::size_t i : maxima)
-        merged.push_back(Extremum{i, signal[i], true});
-    for (const std::size_t i : minima)
-        merged.push_back(Extremum{i, signal[i], false});
-    std::sort(merged.begin(), merged.end(),
-              [](const Extremum& a, const Extremum& b) {
-                  return a.index < b.index;
-              });
-
-    // Collapse runs of same-kind extrema, keeping the most extreme member,
-    // so the result strictly alternates max/min/max/...
-    std::vector<Extremum> out;
-    for (const Extremum& e : merged) {
-        if (!out.empty() && out.back().is_maximum == e.is_maximum) {
-            const bool replace = e.is_maximum ? e.value > out.back().value
-                                              : e.value < out.back().value;
-            if (replace) out.back() = e;
-        } else {
-            out.push_back(e);
-        }
-    }
-    return out;
-}
-
-double prominence(std::span<const double> signal, std::size_t peak_index) {
-    BR_EXPECTS(peak_index < signal.size());
-    const double peak = signal[peak_index];
-
-    // Walk left until a sample higher than the peak (or the edge); record
-    // the lowest valley on the way. Same to the right.
-    double left_min = peak;
-    for (std::size_t i = peak_index; i-- > 0;) {
-        if (signal[i] > peak) break;
-        left_min = std::min(left_min, signal[i]);
-    }
-    double right_min = peak;
-    for (std::size_t i = peak_index + 1; i < signal.size(); ++i) {
-        if (signal[i] > peak) break;
-        right_min = std::min(right_min, signal[i]);
-    }
-    return peak - std::max(left_min, right_min);
 }
 
 }  // namespace blinkradar::dsp

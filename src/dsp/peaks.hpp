@@ -1,45 +1,17 @@
-// Local-extremum detection primitives.
-//
-// The paper's LEVD (local extreme value detection) blink detector works on
-// alternating local maxima/minima of the relative-distance waveform; this
-// module provides the generic extremum machinery (core/levd.hpp builds the
-// blink-specific logic on top).
+// Local-maximum detection, used by the range-profile bench (Fig. 6) to
+// pick the reflector peaks of a power profile.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "dsp/dsp_types.hpp"
-
 namespace blinkradar::dsp {
-
-/// One detected local extremum.
-struct Extremum {
-    std::size_t index = 0;   ///< sample index in the analysed signal
-    double value = 0.0;      ///< signal value at that index
-    bool is_maximum = false; ///< true for a local maximum, false for minimum
-};
 
 /// Find local maxima: samples strictly greater than both neighbours (plateaus
 /// report their first sample). `min_separation` suppresses maxima closer than
 /// that many samples to a previously accepted, larger maximum.
 std::vector<std::size_t> find_local_maxima(std::span<const double> signal,
                                            std::size_t min_separation = 1);
-
-/// Find local minima (mirror of find_local_maxima).
-std::vector<std::size_t> find_local_minima(std::span<const double> signal,
-                                           std::size_t min_separation = 1);
-
-/// Produce the strictly alternating sequence of local maxima and minima of
-/// the signal: consecutive extrema always differ in kind. Runs of same-kind
-/// extrema keep only the most extreme member. This is the "alternative
-/// local maxima and minima" sequence LEVD compares against its threshold.
-std::vector<Extremum> alternating_extrema(std::span<const double> signal);
-
-/// Peak prominence: height of the peak at `peak_index` above the higher of
-/// the two minima separating it from higher terrain (classic topographic
-/// prominence on 1-D signals).
-double prominence(std::span<const double> signal, std::size_t peak_index);
 
 }  // namespace blinkradar::dsp

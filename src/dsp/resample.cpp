@@ -1,32 +1,10 @@
 #include "dsp/resample.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstddef>
 
 #include "common/contracts.hpp"
 
 namespace blinkradar::dsp {
-
-RealSignal resample_linear(std::span<const double> input,
-                           std::size_t out_len) {
-    BR_EXPECTS(input.size() >= 2);
-    BR_EXPECTS(out_len >= 2);
-    RealSignal out(out_len);
-    const double scale = static_cast<double>(input.size() - 1) /
-                         static_cast<double>(out_len - 1);
-    for (std::size_t i = 0; i < out_len; ++i)
-        out[i] = interp_at(input, static_cast<double>(i) * scale);
-    return out;
-}
-
-RealSignal decimate(std::span<const double> input, std::size_t factor) {
-    BR_EXPECTS(factor >= 1);
-    RealSignal out;
-    out.reserve(input.size() / factor + 1);
-    for (std::size_t i = 0; i < input.size(); i += factor)
-        out.push_back(input[i]);
-    return out;
-}
 
 double interp_at(std::span<const double> input, double index) {
     BR_EXPECTS(!input.empty());

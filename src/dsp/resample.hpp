@@ -1,21 +1,9 @@
-// Resampling helpers: linear interpolation and integer decimation.
+// Linear interpolation of a uniformly sampled signal.
 #pragma once
 
-#include <cstddef>
 #include <span>
 
-#include "dsp/dsp_types.hpp"
-
 namespace blinkradar::dsp {
-
-/// Resample `input` to `out_len` samples by linear interpolation of the
-/// sample positions (endpoints map to endpoints). `input` must have >= 2
-/// samples and out_len >= 2.
-RealSignal resample_linear(std::span<const double> input, std::size_t out_len);
-
-/// Keep every `factor`-th sample starting at index 0 (factor >= 1). Callers
-/// are responsible for prior anti-alias filtering where it matters.
-RealSignal decimate(std::span<const double> input, std::size_t factor);
 
 /// Evaluate a uniformly sampled signal at an arbitrary fractional index by
 /// linear interpolation; indices outside [0, n-1] clamp to the endpoints.

@@ -1,68 +1,24 @@
 #include "dsp/smoothing.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
 
 #include "common/contracts.hpp"
 #include "dsp/frame_kernels.hpp"
 
 namespace blinkradar::dsp {
 
-namespace {
-
-// Solve the square system a*x = b by Gaussian elimination with partial
-// pivoting. `a` is row-major n*n. Used only for the tiny Savitzky-Golay
-// normal equations, so numerical sophistication beyond pivoting is not
-// required.
-std::vector<double> solve_linear(std::vector<double> a, std::vector<double> b,
-                                 std::size_t n) {
-    for (std::size_t col = 0; col < n; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < n; ++r) {
-            if (std::abs(a[r * n + col]) > std::abs(a[pivot * n + col]))
-                pivot = r;
-        }
-        BR_ASSERT(std::abs(a[pivot * n + col]) > 1e-14);
-        if (pivot != col) {
-            for (std::size_t c = 0; c < n; ++c)
-                std::swap(a[col * n + c], a[pivot * n + c]);
-            std::swap(b[col], b[pivot]);
-        }
-        for (std::size_t r = col + 1; r < n; ++r) {
-            const double factor = a[r * n + col] / a[col * n + col];
-            for (std::size_t c = col; c < n; ++c)
-                a[r * n + c] -= factor * a[col * n + c];
-            b[r] -= factor * b[col];
-        }
-    }
-    std::vector<double> x(n, 0.0);
-    for (std::size_t ri = n; ri-- > 0;) {
-        double acc = b[ri];
-        for (std::size_t c = ri + 1; c < n; ++c) acc -= a[ri * n + c] * x[c];
-        x[ri] = acc / a[ri * n + ri];
-    }
-    return x;
-}
-
-}  // namespace
-
-namespace {
-
-// Shared implementation: prefix sums give O(n) evaluation independent of
-// window size. Works for double and Complex alike (complex addition and
-// complex/double division act component-wise, so the complex result is
-// bit-identical to smoothing I and Q separately).
-template <typename T>
-void moving_average_impl(std::span<const T> input, std::size_t window,
-                         std::vector<T>& out, std::vector<T>& prefix) {
+// Prefix sums give O(n) evaluation independent of window size. Complex
+// addition and complex/double division act component-wise, so the result
+// is bit-identical to smoothing I and Q separately.
+void moving_average_into(std::span<const Complex> input, std::size_t window,
+                         ComplexSignal& out, ComplexSignal& prefix) {
     BR_EXPECTS(window >= 1);
     BR_EXPECTS(input.empty() || (input.data() != out.data() &&
                                  input.data() != prefix.data()));
     const std::size_t half = window / 2;
     out.resize(input.size());
     prefix.resize(input.size() + 1);
-    prefix[0] = T{};
+    prefix[0] = Complex{};
     for (std::size_t i = 0; i < input.size(); ++i)
         prefix[i + 1] = prefix[i] + input[i];
     for (std::size_t i = 0; i < input.size(); ++i) {
@@ -70,31 +26,6 @@ void moving_average_impl(std::span<const T> input, std::size_t window,
         const std::size_t hi = std::min(i + half, input.size() - 1);
         out[i] = (prefix[hi + 1] - prefix[lo]) / static_cast<double>(hi - lo + 1);
     }
-}
-
-}  // namespace
-
-RealSignal moving_average(std::span<const double> input, std::size_t window) {
-    RealSignal out, prefix;
-    moving_average_impl(input, window, out, prefix);
-    return out;
-}
-
-ComplexSignal moving_average(std::span<const Complex> input,
-                             std::size_t window) {
-    ComplexSignal out, prefix;
-    moving_average_impl(input, window, out, prefix);
-    return out;
-}
-
-void moving_average_into(std::span<const double> input, std::size_t window,
-                         RealSignal& out, RealSignal& prefix) {
-    moving_average_impl(input, window, out, prefix);
-}
-
-void moving_average_into(std::span<const Complex> input, std::size_t window,
-                         ComplexSignal& out, ComplexSignal& prefix) {
-    moving_average_impl(input, window, out, prefix);
 }
 
 void moving_average_planes_into(const IqPlanes& input, std::size_t window,
@@ -116,85 +47,6 @@ void moving_average_planes_into(const IqPlanes& input, std::size_t window,
     active_kernels().smooth_from_prefix(prefix.i.data(), prefix.q.data(), n,
                                         window / 2, out.i.data(),
                                         out.q.data());
-}
-
-RealSignal median_filter(std::span<const double> input, std::size_t window) {
-    BR_EXPECTS(window >= 1 && window % 2 == 1);
-    const std::size_t half = window / 2;
-    RealSignal out(input.size(), 0.0);
-    std::vector<double> buf;
-    buf.reserve(window);
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        const std::size_t lo = i >= half ? i - half : 0;
-        const std::size_t hi = std::min(i + half, input.size() - 1);
-        buf.assign(input.begin() + static_cast<std::ptrdiff_t>(lo),
-                   input.begin() + static_cast<std::ptrdiff_t>(hi + 1));
-        const std::size_t mid = buf.size() / 2;
-        std::nth_element(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(mid),
-                         buf.end());
-        out[i] = buf[mid];
-    }
-    return out;
-}
-
-RealSignal exponential_smooth(std::span<const double> input, double alpha) {
-    BR_EXPECTS(alpha > 0.0 && alpha <= 1.0);
-    RealSignal out(input.size(), 0.0);
-    if (input.empty()) return out;
-    out[0] = input[0];
-    for (std::size_t i = 1; i < input.size(); ++i)
-        out[i] = alpha * input[i] + (1.0 - alpha) * out[i - 1];
-    return out;
-}
-
-RealSignal savitzky_golay(std::span<const double> input, std::size_t window,
-                          std::size_t poly_order) {
-    BR_EXPECTS(window % 2 == 1 && window > poly_order);
-    const std::size_t half = window / 2;
-    const std::size_t n_coef = poly_order + 1;
-
-    // Precompute the convolution kernel: the centre-sample weights of the
-    // least-squares polynomial fit over the symmetric window. The kernel is
-    // the first row of (A^T A)^{-1} A^T where A[i][j] = i^j.
-    std::vector<double> ata(n_coef * n_coef, 0.0);
-    for (std::size_t r = 0; r < n_coef; ++r)
-        for (std::size_t c = 0; c < n_coef; ++c)
-            for (std::ptrdiff_t m = -static_cast<std::ptrdiff_t>(half);
-                 m <= static_cast<std::ptrdiff_t>(half); ++m)
-                ata[r * n_coef + c] += std::pow(static_cast<double>(m),
-                                                static_cast<double>(r + c));
-    // Solve (A^T A) w = e0 column-by-column against the A^T basis.
-    std::vector<double> e0(n_coef, 0.0);
-    e0[0] = 1.0;
-    const std::vector<double> beta = solve_linear(ata, e0, n_coef);
-    std::vector<double> kernel(window, 0.0);
-    for (std::size_t i = 0; i < window; ++i) {
-        const double m =
-            static_cast<double>(static_cast<std::ptrdiff_t>(i) -
-                                static_cast<std::ptrdiff_t>(half));
-        double w = 0.0;
-        for (std::size_t j = 0; j < n_coef; ++j)
-            w += beta[j] * std::pow(m, static_cast<double>(j));
-        kernel[i] = w;
-    }
-
-    RealSignal out(input.size(), 0.0);
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        double acc = 0.0;
-        double weight_sum = 0.0;
-        for (std::size_t k = 0; k < window; ++k) {
-            const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i) +
-                                       static_cast<std::ptrdiff_t>(k) -
-                                       static_cast<std::ptrdiff_t>(half);
-            if (idx < 0 || idx >= static_cast<std::ptrdiff_t>(input.size()))
-                continue;
-            acc += kernel[k] * input[static_cast<std::size_t>(idx)];
-            weight_sum += kernel[k];
-        }
-        // Renormalise at edges where part of the kernel falls outside.
-        out[i] = weight_sum != 0.0 ? acc / weight_sum : input[i];
-    }
-    return out;
 }
 
 }  // namespace blinkradar::dsp

@@ -1,8 +1,7 @@
 // Smoothing filters for the slow-time signal path.
 //
 // The paper cascades the order-26 FIR with a 50-point smoothing filter
-// (moving average). Median and Savitzky-Golay smoothers are provided for
-// the ablation benches.
+// (moving average).
 #pragma once
 
 #include <cstddef>
@@ -13,19 +12,11 @@
 namespace blinkradar::dsp {
 
 /// Centred moving average with the given window (odd or even; even windows
-/// are treated as window+1 to stay centred). Edges use the available
-/// samples only (shrinking window), so output length equals input length.
-RealSignal moving_average(std::span<const double> input, std::size_t window);
-
-/// Complex moving average (applied independently to I and Q).
-ComplexSignal moving_average(std::span<const Complex> input,
-                             std::size_t window);
-
-/// Allocation-free variants for the per-frame hot path: `out` and the
-/// caller-owned `prefix` scratch are resized (reusing capacity); neither
-/// may alias the input. Results are bit-identical to moving_average().
-void moving_average_into(std::span<const double> input, std::size_t window,
-                         RealSignal& out, RealSignal& prefix);
+/// are treated as window+1 to stay centred), applied independently to I
+/// and Q. Edges use the available samples only (shrinking window), so the
+/// output length equals the input length. `out` and the caller-owned
+/// `prefix` scratch are resized (reusing capacity); neither may alias the
+/// input.
 void moving_average_into(std::span<const Complex> input, std::size_t window,
                          ComplexSignal& out, ComplexSignal& prefix);
 
@@ -35,18 +26,5 @@ void moving_average_into(std::span<const Complex> input, std::size_t window,
 /// complex moving_average_into().
 void moving_average_planes_into(const IqPlanes& input, std::size_t window,
                                 IqPlanes& out, IqPlanes& prefix);
-
-/// Centred running median with an odd window size.
-RealSignal median_filter(std::span<const double> input, std::size_t window);
-
-/// First-order exponential smoother y[n] = alpha*x[n] + (1-alpha)*y[n-1],
-/// alpha in (0, 1].
-RealSignal exponential_smooth(std::span<const double> input, double alpha);
-
-/// Savitzky-Golay smoothing: least-squares polynomial of degree `poly_order`
-/// over a centred window of odd length `window` (> poly_order). Preserves
-/// peak shape better than the moving average; used in ablations.
-RealSignal savitzky_golay(std::span<const double> input, std::size_t window,
-                          std::size_t poly_order);
 
 }  // namespace blinkradar::dsp

@@ -70,35 +70,10 @@ Complex complex_mean(std::span<const Complex> v) {
     return sum / static_cast<double>(v.size());
 }
 
-void RunningStats::push(double x) noexcept {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-    return n_ >= 2 ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStats::reset() noexcept {
-    n_ = 0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-}
-
 EmpiricalCdf::EmpiricalCdf(std::span<const double> samples)
     : sorted_(samples.begin(), samples.end()) {
     BR_EXPECTS(!samples.empty());
     std::sort(sorted_.begin(), sorted_.end());
-}
-
-double EmpiricalCdf::at(double x) const {
-    const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-    return static_cast<double>(it - sorted_.begin()) /
-           static_cast<double>(sorted_.size());
 }
 
 double EmpiricalCdf::quantile(double q) const {

@@ -1,6 +1,5 @@
-// Statistics utilities: summary statistics, running (Welford) statistics,
-// percentiles, and empirical CDFs used throughout the pipeline and the
-// evaluation harness.
+// Statistics utilities: summary statistics, percentiles, and empirical
+// CDFs used throughout the pipeline and the evaluation harness.
 #pragma once
 
 #include <cstddef>
@@ -39,32 +38,11 @@ double scatter_variance(std::span<const Complex> v);
 /// Mean of a complex point cloud (I and Q averaged independently).
 Complex complex_mean(std::span<const Complex> v);
 
-/// Numerically stable streaming mean/variance (Welford's algorithm).
-class RunningStats {
-public:
-    void push(double x) noexcept;
-    std::size_t count() const noexcept { return n_; }
-    double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-    /// Population variance; 0 until two samples have been pushed.
-    double variance() const noexcept;
-    double stddev() const noexcept;
-    void reset() noexcept;
-
-private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-};
-
-/// Empirical CDF over a sample set; supports evaluation at arbitrary x and
-/// inverse evaluation (quantiles).
+/// Empirical CDF over a sample set, evaluated inversely (quantiles).
 class EmpiricalCdf {
 public:
     /// Build from samples (copied and sorted). Must be non-empty.
     explicit EmpiricalCdf(std::span<const double> samples);
-
-    /// P(X <= x) under the empirical distribution.
-    double at(double x) const;
 
     /// Quantile: smallest sample s with CDF(s) >= q, q in (0, 1].
     double quantile(double q) const;

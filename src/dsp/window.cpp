@@ -7,45 +7,16 @@
 
 namespace blinkradar::dsp {
 
-RealSignal make_window(WindowType type, std::size_t n) {
+RealSignal hamming_window(std::size_t n) {
     BR_EXPECTS(n >= 1);
     RealSignal w(n, 1.0);
     if (n == 1) return w;
     const double denom = static_cast<double>(n - 1);
     for (std::size_t i = 0; i < n; ++i) {
         const double x = static_cast<double>(i) / denom;  // in [0, 1]
-        switch (type) {
-            case WindowType::kRectangular:
-                w[i] = 1.0;
-                break;
-            case WindowType::kHamming:
-                w[i] = 0.54 - 0.46 * std::cos(constants::kTwoPi * x);
-                break;
-            case WindowType::kHann:
-                w[i] = 0.5 - 0.5 * std::cos(constants::kTwoPi * x);
-                break;
-            case WindowType::kBlackman:
-                w[i] = 0.42 - 0.5 * std::cos(constants::kTwoPi * x) +
-                       0.08 * std::cos(2.0 * constants::kTwoPi * x);
-                break;
-        }
+        w[i] = 0.54 - 0.46 * std::cos(constants::kTwoPi * x);
     }
     return w;
-}
-
-RealSignal apply_window(std::span<const double> signal,
-                        std::span<const double> window) {
-    BR_EXPECTS(signal.size() == window.size());
-    RealSignal out(signal.size());
-    for (std::size_t i = 0; i < signal.size(); ++i) out[i] = signal[i] * window[i];
-    return out;
-}
-
-double coherent_gain(std::span<const double> window) {
-    BR_EXPECTS(!window.empty());
-    double sum = 0.0;
-    for (const double v : window) sum += v;
-    return sum / static_cast<double>(window.size());
 }
 
 }  // namespace blinkradar::dsp

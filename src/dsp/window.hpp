@@ -1,30 +1,14 @@
-// Window functions for FIR design and spectral analysis.
+// The Hamming window of the paper's order-26 FIR design.
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "dsp/dsp_types.hpp"
 
 namespace blinkradar::dsp {
 
-/// Supported window shapes.
-enum class WindowType {
-    kRectangular,
-    kHamming,   ///< used by the paper's order-26 FIR design
-    kHann,
-    kBlackman,
-};
-
-/// Generate an n-point symmetric window of the given type (n >= 1).
-RealSignal make_window(WindowType type, std::size_t n);
-
-/// Multiply `signal` element-wise by `window` (sizes must match) and return
-/// the result.
-RealSignal apply_window(std::span<const double> signal,
-                        std::span<const double> window);
-
-/// Coherent gain of a window: mean of its samples (1.0 for rectangular).
-double coherent_gain(std::span<const double> window);
+/// n-point symmetric Hamming window, 0.54 - 0.46 cos(2 pi i / (n-1))
+/// (n >= 1; a single-point window is 1).
+RealSignal hamming_window(std::size_t n);
 
 }  // namespace blinkradar::dsp

@@ -20,53 +20,14 @@ SessionScore run_blink_session(const sim::ScenarioConfig& scenario,
 
 std::vector<SessionScore> run_sessions(
     std::span<const sim::ScenarioConfig> scenarios,
-    const core::PipelineConfig& pipeline, obs::MetricsRegistry* rollup) {
+    const core::PipelineConfig& pipeline) {
     // Deterministic fan-out: task i touches only scenarios[i] (whose seed
     // fully determines the simulated session) and result slot i, so the
-    // output cannot depend on thread count or scheduling. With a rollup
-    // each task instruments into a private registry (slot i again) and
-    // the merge below runs serially in index order, keeping the
-    // aggregate deterministic too.
-    struct ScoredSession {
-        SessionScore score;
-        obs::MetricsRegistry metrics;
-    };
-    std::vector<ScoredSession> scored = ThreadPool::shared().parallel_map(
+    // output cannot depend on thread count or scheduling.
+    return ThreadPool::shared().parallel_map(
         scenarios.size(), [&](std::size_t i) {
-            ScoredSession s;
-            s.score = run_blink_session(scenarios[i], pipeline,
-                                        rollup ? &s.metrics : nullptr);
-            return s;
+            return run_blink_session(scenarios[i], pipeline);
         });
-    std::vector<SessionScore> scores;
-    scores.reserve(scored.size());
-    for (ScoredSession& s : scored) {
-        if (rollup != nullptr) rollup->merge_from(s.metrics);
-        scores.push_back(std::move(s.score));
-    }
-    return scores;
-}
-
-std::vector<SessionScore> run_sessions(const sim::ScenarioConfig& scenario,
-                                       std::size_t repetitions,
-                                       const core::PipelineConfig& pipeline,
-                                       obs::MetricsRegistry* rollup) {
-    BR_EXPECTS(repetitions >= 1);
-    std::vector<sim::ScenarioConfig> scenarios(repetitions, scenario);
-    for (std::size_t r = 0; r < repetitions; ++r)
-        scenarios[r].seed = scenario.seed + r;
-    return run_sessions(scenarios, pipeline, rollup);
-}
-
-std::vector<double> repeated_accuracies(const sim::ScenarioConfig& scenario,
-                                        std::size_t repetitions,
-                                        const core::PipelineConfig& pipeline) {
-    const std::vector<SessionScore> scores =
-        run_sessions(scenario, repetitions, pipeline);
-    std::vector<double> accuracies;
-    accuracies.reserve(scores.size());
-    for (const SessionScore& s : scores) accuracies.push_back(s.accuracy);
-    return accuracies;
 }
 
 namespace {
@@ -160,8 +121,11 @@ std::vector<DrowsyScore> run_drowsy_experiments(
 std::vector<bool> accumulate_truth_hits(const sim::ScenarioConfig& scenario,
                                         std::size_t repetitions,
                                         const core::PipelineConfig& pipeline) {
-    const std::vector<SessionScore> scores =
-        run_sessions(scenario, repetitions, pipeline);
+    BR_EXPECTS(repetitions >= 1);
+    std::vector<sim::ScenarioConfig> scenarios(repetitions, scenario);
+    for (std::size_t r = 0; r < repetitions; ++r)
+        scenarios[r].seed = scenario.seed + r;
+    const std::vector<SessionScore> scores = run_sessions(scenarios, pipeline);
     std::vector<bool> hits;
     for (const SessionScore& score : scores)
         hits.insert(hits.end(), score.match.truth_hit.begin(),

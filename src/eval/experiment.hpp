@@ -33,29 +33,9 @@ SessionScore run_blink_session(const sim::ScenarioConfig& scenario,
 /// scenario.seed), so results are bit-identical to calling
 /// run_blink_session serially in order — for any thread count. Result i
 /// corresponds to scenarios[i].
-///
-/// `rollup` (optional) aggregates observability metrics across the whole
-/// batch: each session runs against its own private registry (no locks on
-/// the frame path) and the per-session registries are merged into
-/// `rollup` in session-index order after the fan-out, so the aggregate is
-/// deterministic for any thread count.
 std::vector<SessionScore> run_sessions(
     std::span<const sim::ScenarioConfig> scenarios,
-    const core::PipelineConfig& pipeline = {},
-    obs::MetricsRegistry* rollup = nullptr);
-
-/// Batch engine, repetition form: run `repetitions` sessions with derived
-/// seeds (seed, seed+1, ...). Deterministic as above.
-std::vector<SessionScore> run_sessions(const sim::ScenarioConfig& scenario,
-                                       std::size_t repetitions,
-                                       const core::PipelineConfig& pipeline = {},
-                                       obs::MetricsRegistry* rollup = nullptr);
-
-/// Run `repetitions` sessions with different seeds (seed, seed+1, ...)
-/// and return the per-session accuracies.
-std::vector<double> repeated_accuracies(const sim::ScenarioConfig& scenario,
-                                        std::size_t repetitions,
-                                        const core::PipelineConfig& pipeline = {});
+    const core::PipelineConfig& pipeline = {});
 
 /// One drowsy-driving evaluation for a participant: train the per-user
 /// rate model on labelled awake/drowsy windows, then classify held-out

@@ -186,18 +186,6 @@ std::vector<std::size_t> default_recovery_intervals() {
     return {0, 50, 250, 500};
 }
 
-std::vector<RecoveryPoint> run_recovery_sweep(
-    std::span<const sim::ScenarioConfig> scenarios,
-    std::span<const std::size_t> intervals, const CrashDrillSpec& drill,
-    const core::PipelineConfig& pipeline) {
-    const double baseline_f1 = run_recovery_baseline(scenarios, pipeline);
-    std::vector<RecoveryPoint> points;
-    for (const std::size_t interval : intervals)
-        points.push_back(run_recovery_point(scenarios, interval, drill,
-                                            baseline_f1, pipeline));
-    return points;
-}
-
 void write_recovery_json(const std::string& path,
                          std::span<const RecoveryPoint> points,
                          double baseline_f1, const CrashDrillSpec& drill,

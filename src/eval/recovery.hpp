@@ -108,11 +108,6 @@ double run_recovery_baseline(std::span<const sim::ScenarioConfig> scenarios,
 /// then 2 s / 10 s / 20 s cadences at the 25 Hz default frame rate.
 std::vector<std::size_t> default_recovery_intervals();
 
-std::vector<RecoveryPoint> run_recovery_sweep(
-    std::span<const sim::ScenarioConfig> scenarios,
-    std::span<const std::size_t> intervals, const CrashDrillSpec& drill,
-    const core::PipelineConfig& pipeline = {});
-
 /// Serialise the sweep to `path` (stable hand-rolled JSON, schema
 /// "blinkradar-recovery-v1").
 void write_recovery_json(const std::string& path,

@@ -1,6 +1,5 @@
 #include "eval/robustness.hpp"
 
-#include <array>
 #include <cmath>
 #include <exception>
 #include <fstream>
@@ -25,17 +24,6 @@ const char* to_string(FaultKind kind) noexcept {
         case FaultKind::kDropPlusJitter: return "drop_plus_jitter";
     }
     return "?";
-}
-
-std::span<const FaultKind> all_fault_kinds() noexcept {
-    static constexpr std::array<FaultKind, 11> kinds = {
-        FaultKind::kNone,          FaultKind::kDrop,
-        FaultKind::kDuplicate,     FaultKind::kJitter,
-        FaultKind::kSaturation,    FaultKind::kDeadBins,
-        FaultKind::kGainDrift,     FaultKind::kInterference,
-        FaultKind::kNanCorruption, FaultKind::kTruncate,
-        FaultKind::kDropPlusJitter};
-    return kinds;
 }
 
 radar::FaultInjectorConfig make_fault_config(

@@ -37,7 +37,6 @@ enum class FaultKind {
     kDropPlusJitter,
 };
 const char* to_string(FaultKind kind) noexcept;
-std::span<const FaultKind> all_fault_kinds() noexcept;
 
 /// Map (kind, rate) onto injector knobs. `rate` is the event probability
 /// per frame for drop/duplicate/saturation/interference/NaN/truncate;

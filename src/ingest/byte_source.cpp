@@ -142,11 +142,6 @@ std::size_t BytePipe::buffered() const {
     return buf_.size();
 }
 
-bool BytePipe::closed() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-}
-
 std::unique_ptr<ByteSource> BytePipe::make_source() {
     return std::make_unique<Source>(this);
 }

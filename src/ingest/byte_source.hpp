@@ -141,7 +141,6 @@ public:
     void close();
 
     std::size_t buffered() const;
-    bool closed() const;
 
     /// The reader end (a ByteSource view sharing this pipe's buffer).
     /// The pipe must outlive the source.

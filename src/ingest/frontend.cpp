@@ -384,13 +384,13 @@ void IngestFrontend::poll_stream(Stream& s) {
 
 void IngestFrontend::schedule_watchdog(Stream& s) {
     // The first tick the lazy stall clock reaches the threshold with the
-    // backoff expired; an exhausted stream's clock stands still.
-    std::uint64_t first = 0;
-    if (s.stall_run >= kStallTicks)
-        first = tick_ + 1;
-    else if (s.stall_counting)
-        first = tick_ + (kStallTicks - s.stall_run);
-    if (first == 0) return;
+    // backoff expired. An exhausted stream's clock stands still (it left
+    // the poll set with stall_counting off), and no reconnect can bring
+    // it bytes, so it is never due.
+    if (!s.stall_counting) return;
+    const std::uint64_t first = s.stall_run >= kStallTicks
+                                    ? tick_ + 1
+                                    : tick_ + (kStallTicks - s.stall_run);
     s.watch_due = std::max(first, s.next_reconnect_tick);
     watch_.emplace(s.watch_due, s.id);
 }
@@ -443,11 +443,13 @@ std::size_t IngestFrontend::deliver() {
 
 void IngestFrontend::run_watchdogs() {
     // Due: streams polled this tick whose stall clock is at the
-    // threshold with the backoff expired, and streams out of the poll
-    // set whose scheduled tick came. Fired in ascending id.
+    // threshold with the backoff expired and whose source is not
+    // exhausted, and streams out of the poll set whose scheduled tick
+    // came. Fired in ascending id.
     fired_.clear();
     for (Stream* s : poll_)
-        if (s->stall_run >= kStallTicks && tick_ >= s->next_reconnect_tick)
+        if (s->stall_run >= kStallTicks && tick_ >= s->next_reconnect_tick &&
+            !s->source->exhausted())
             fired_.push_back(s);
     while (!watch_.empty() && watch_.begin()->first <= tick_) {
         Stream& s = stream_ref(watch_.begin()->second);

@@ -26,9 +26,10 @@
 //                streams with queued frames) into the engine, up to the
 //                governor's per-tick frame budget.
 //   engine     - FleetEngine::pump(), wall latency recorded to metrics.
-//   watchdogs  - stalled sources get reconnect() with deterministic
-//                per-stream jittered exponential backoff, in ascending
-//                id, from a schedule ordered by due tick.
+//   watchdogs  - stalled sources that are not exhausted get reconnect()
+//                with deterministic per-stream jittered exponential
+//                backoff, in ascending id, from a schedule ordered by due
+//                tick.
 //   governor   - recompute load, walk the shed ladder one step with
 //                hysteresis, apply the step's side effects.
 //   admission  - refill the token bucket.

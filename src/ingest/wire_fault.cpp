@@ -6,12 +6,6 @@
 
 namespace blinkradar::ingest {
 
-bool WireFaultConfig::any_active() const noexcept {
-    return truncate_rate > 0.0 || bitflip_rate > 0.0 ||
-           duplicate_rate > 0.0 || reorder_rate > 0.0 || drop_rate > 0.0 ||
-           garbage_rate > 0.0;
-}
-
 void WireFaultConfig::validate() const {
     BR_EXPECTS(chunk_bytes >= 1);
     for (const double r : {truncate_rate, bitflip_rate, duplicate_rate,

@@ -45,7 +45,6 @@ struct WireFaultConfig {
     double garbage_rate = 0.0;
     std::size_t garbage_max_bytes = 64;
 
-    bool any_active() const noexcept;
     /// Throws ContractViolation on rates outside [0, 1] or a zero chunk.
     void validate() const;
 };

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/contracts.hpp"
-#include "common/csv.hpp"
 #include "obs/stage_timer.hpp"
 
 namespace blinkradar::obs {
@@ -172,24 +171,6 @@ void append_snapshot_json(const MetricsRegistry& registry, std::string& out) {
         out += "]}";
     }
     out += first ? "}\n}\n" : "\n  }\n}\n";
-}
-
-void snapshot_to_csv(const MetricsRegistry& registry,
-                     const std::string& path) {
-    CsvWriter csv(path, {"kind", "name", "count", "sum_ns", "min_ns",
-                         "max_ns", "p50_ns", "p99_ns", "value"});
-    for (const auto& [name, c] : registry.counters())
-        csv.row(std::vector<std::string>{"counter", name, "", "", "", "", "",
-                                         "", std::to_string(c.value())});
-    for (const auto& [name, g] : registry.gauges())
-        csv.row(std::vector<std::string>{"gauge", name, "", "", "", "", "",
-                                         "", format_double(g.value())});
-    for (const auto& [name, h] : registry.histograms())
-        csv.row(std::vector<std::string>{
-            "histogram", name, std::to_string(h.count()),
-            std::to_string(h.sum_ns()), std::to_string(h.min_ns()),
-            std::to_string(h.max_ns()), format_double(h.quantile_ns(0.5)),
-            format_double(h.quantile_ns(0.99)), ""});
 }
 
 }  // namespace blinkradar::obs

@@ -10,9 +10,9 @@
 //     engines give every session its own registry and merge_from() the
 //     results afterwards (deterministic in merge order).
 //
-// snapshot_to_json / snapshot_to_csv serialise a registry with sorted
-// metric names and a fixed field order, so two registries holding the
-// same values produce byte-identical snapshots.
+// snapshot_to_json serialises a registry with sorted metric names and a
+// fixed field order, so two registries holding the same values produce
+// byte-identical snapshots.
 #pragma once
 
 #include <array>
@@ -167,10 +167,5 @@ std::string snapshot_to_json(const MetricsRegistry& registry);
 /// Same rendering appended into a caller-owned buffer, so a cyclic
 /// publisher can reuse capacity instead of allocating per snapshot.
 void append_snapshot_json(const MetricsRegistry& registry, std::string& out);
-
-/// Deterministic CSV snapshot: one row per metric
-/// (kind,name,count,sum_ns,min_ns,max_ns,p50_ns,p99_ns,value).
-void snapshot_to_csv(const MetricsRegistry& registry,
-                     const std::string& path);
 
 }  // namespace blinkradar::obs

@@ -187,15 +187,4 @@ FrameSeries FaultInjector::apply(const FrameSeries& clean) {
     return out;
 }
 
-FrameSeries FaultInjector::generate(FrameSimulator& source,
-                                    Seconds duration_s) {
-    BR_EXPECTS(duration_s >= 0.0);
-    const auto n = static_cast<std::size_t>(
-        duration_s / source.config().frame_period_s);
-    FrameSeries out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) apply(source.next(), out);
-    return out;
-}
-
 }  // namespace blinkradar::radar

@@ -91,10 +91,6 @@ public:
     /// Impair a whole recorded series.
     FrameSeries apply(const FrameSeries& clean);
 
-    /// Pull `duration_s` worth of frames from a live simulator through
-    /// the injector.
-    FrameSeries generate(FrameSimulator& source, Seconds duration_s);
-
     const FaultStats& stats() const noexcept { return stats_; }
     const FaultInjectorConfig& config() const noexcept { return config_; }
 

@@ -28,8 +28,7 @@ dsp::ComplexSignal Receiver::downconvert(const dsp::RealSignal& rf) const {
     // Image-rejecting low-pass: keep the baseband (|f| < ~B), reject the
     // 2 fc image produced by the mixing.
     const auto lpf = dsp::FirFilter::low_pass(
-        /*order=*/64, /*cutoff_hz=*/config_.bandwidth_hz, sample_rate_,
-        dsp::WindowType::kHamming);
+        /*order=*/64, /*cutoff_hz=*/config_.bandwidth_hz, sample_rate_);
     dsp::ComplexSignal filtered = lpf.filter(baseband);
     // Compensate the FIR group delay so path delays stay calibrated.
     const std::size_t gd =

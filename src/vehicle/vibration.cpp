@@ -27,8 +27,8 @@ VibrationModel::VibrationModel(RoadVibrationSpec spec, Seconds duration_s,
         for (std::size_t i = 0; i < n; ++i) white[i] = rng.normal(0.0, 1.0);
         const double nyquist = sample_rate_hz / 2.0;
         const double cutoff = std::min(spec.vibration_bw_hz, 0.9 * nyquist);
-        const auto lpf = dsp::FirFilter::low_pass(
-            /*order=*/32, cutoff, sample_rate_hz, dsp::WindowType::kHamming);
+        const auto lpf =
+            dsp::FirFilter::low_pass(/*order=*/32, cutoff, sample_rate_hz);
         dsp::RealSignal shaped = lpf.filtfilt(white);
         const double current_rms = std::sqrt(dsp::variance(shaped));
         const double gain =
@@ -71,12 +71,6 @@ VibrationModel::VibrationModel(RoadVibrationSpec spec, Seconds duration_s,
                      sample_rate_hz;
         }
     }
-}
-
-VibrationModel VibrationModel::for_road(RoadType type, Seconds duration_s,
-                                        double sample_rate_hz, Rng rng) {
-    return VibrationModel(vibration_spec(type), duration_s, sample_rate_hz,
-                          rng);
 }
 
 Meters VibrationModel::displacement(Seconds t) const {

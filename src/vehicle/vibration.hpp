@@ -27,10 +27,6 @@ public:
     VibrationModel(RoadVibrationSpec spec, Seconds duration_s,
                    double sample_rate_hz, Rng rng);
 
-    /// Convenience: model for a named road type.
-    static VibrationModel for_road(RoadType type, Seconds duration_s,
-                                   double sample_rate_hz, Rng rng);
-
     /// Radar-to-body radial displacement due to vibration at time t.
     Meters displacement(Seconds t) const;
 

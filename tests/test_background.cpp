@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
-#include "common/random.hpp"
 #include "common/units.hpp"
 #include "dsp/background.hpp"
 
@@ -71,32 +70,6 @@ TEST(LoopbackFilter, RejectsInvalidAlpha) {
     EXPECT_THROW(LoopbackFilter(4, 0.0), blinkradar::ContractViolation);
     EXPECT_THROW(LoopbackFilter(4, 1.0), blinkradar::ContractViolation);
     EXPECT_THROW(LoopbackFilter(0, 0.5), blinkradar::ContractViolation);
-}
-
-TEST(MeanBackground, RemovesMeanExactly) {
-    Rng rng(1);
-    std::vector<ComplexSignal> frames(20, ComplexSignal(3));
-    for (auto& f : frames)
-        for (auto& v : f)
-            v = Complex(rng.normal(2, 1), rng.normal(-1, 1));
-    const auto out = subtract_mean_background(frames);
-    for (std::size_t b = 0; b < 3; ++b) {
-        Complex sum(0, 0);
-        for (const auto& f : out) sum += f[b];
-        EXPECT_NEAR(std::abs(sum), 0.0, 1e-10);
-    }
-}
-
-TEST(MeanBackground, StaticFramesBecomeZero) {
-    const std::vector<ComplexSignal> frames(5, ComplexSignal{Complex(3, 4)});
-    const auto out = subtract_mean_background(frames);
-    for (const auto& f : out) EXPECT_NEAR(std::abs(f[0]), 0.0, 1e-12);
-}
-
-TEST(MeanBackground, RejectsRaggedFrames) {
-    std::vector<ComplexSignal> frames = {ComplexSignal(3), ComplexSignal(4)};
-    EXPECT_THROW(subtract_mean_background(frames),
-                 blinkradar::ContractViolation);
 }
 
 }  // namespace

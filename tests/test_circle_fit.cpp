@@ -142,7 +142,16 @@ TEST(CircleFit, ResidualHelperMatchesFitResidual) {
     Rng rng(6);
     const auto pts = arc_points(1, 1, 1.0, 0, 3.0, 80, 0.01, rng);
     const CircleFit f = fit_circle_pratt(pts);
-    EXPECT_NEAR(circle_rms_residual(pts, f), f.rms_residual, 1e-12);
+    // RMS of the points' radial distances from the fitted circle.
+    double acc = 0.0;
+    for (const Complex& p : pts) {
+        const double dx = p.real() - f.center_x;
+        const double dy = p.imag() - f.center_y;
+        const double d = std::sqrt(dx * dx + dy * dy) - f.radius;
+        acc += d * d;
+    }
+    const double rms = std::sqrt(acc / static_cast<double>(pts.size()));
+    EXPECT_NEAR(rms, f.rms_residual, 1e-12);
 }
 
 TEST(CircleFit, TranslationInvariance) {

@@ -32,15 +32,6 @@ TEST(Experiment, SessionsAreReproducible) {
     EXPECT_EQ(a.match.detected, b.match.detected);
 }
 
-TEST(Experiment, RepeatedAccuraciesVaryAcrossSeeds) {
-    const auto accs = repeated_accuracies(scenario(3), 4);
-    ASSERT_EQ(accs.size(), 4u);
-    bool any_diff = false;
-    for (std::size_t i = 1; i < accs.size(); ++i)
-        any_diff |= accs[i] != accs[0];
-    EXPECT_TRUE(any_diff);
-}
-
 TEST(Experiment, DrowsyExperimentLearnsAndClassifies) {
     eval::DrowsyExperimentOptions opt;
     opt.train_minutes_per_class = 2.0;
@@ -79,16 +70,6 @@ TEST(Experiment, RunSessionsMatchesSerialCalls) {
     }
 }
 
-TEST(Experiment, RunSessionsRepetitionFormMatchesRepeatedAccuracies) {
-    const sim::ScenarioConfig base = scenario(24);
-    const auto sessions = run_sessions(base, 3);
-    const auto accs = repeated_accuracies(base, 3);
-    ASSERT_EQ(sessions.size(), 3u);
-    ASSERT_EQ(accs.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(sessions[i].accuracy, accs[i]);
-}
-
 TEST(Experiment, RunDrowsyExperimentsMatchesSingleCalls) {
     std::vector<sim::ScenarioConfig> scenarios = {scenario(25), scenario(26)};
     eval::DrowsyExperimentOptions opt;
@@ -104,37 +85,6 @@ TEST(Experiment, RunDrowsyExperimentsMatchesSingleCalls) {
     }
 }
 
-TEST(Experiment, MetricsRollupAggregatesAcrossSessions) {
-    // The batch engine's roll-up merges per-session registries in index
-    // order after the fan-out: the aggregate must equal the sum of
-    // serial per-session runs, and attaching it must not change scores.
-    std::vector<sim::ScenarioConfig> scenarios = {scenario(31), scenario(32),
-                                                  scenario(33)};
-    obs::MetricsRegistry rollup;
-    const auto batch = run_sessions(scenarios, {}, &rollup);
-
-    std::uint64_t frames = 0, blinks = 0, sampled = 0;
-    for (const sim::ScenarioConfig& sc : scenarios) {
-        obs::MetricsRegistry one;
-        const SessionScore ref = run_blink_session(sc, {}, &one);
-        frames += one.counter("pipeline.frames").value();
-        blinks += one.counter("pipeline.blinks").value();
-        sampled += one.histogram("stage.frame_total").count();
-        const SessionScore& got =
-            batch[static_cast<std::size_t>(&sc - scenarios.data())];
-        EXPECT_EQ(got.accuracy, ref.accuracy);
-        EXPECT_EQ(got.match.detected, ref.match.detected);
-    }
-    EXPECT_GT(frames, 0u);
-    // Stage spans are duty-cycled (1-in-kStageSampleFrames), so the
-    // histogram sees fewer records than frames — but deterministically so.
-    EXPECT_GT(sampled, 0u);
-    EXPECT_LT(sampled, frames);
-    EXPECT_EQ(rollup.counter("pipeline.frames").value(), frames);
-    EXPECT_EQ(rollup.counter("pipeline.blinks").value(), blinks);
-    EXPECT_EQ(rollup.histogram("stage.frame_total").count(), sampled);
-}
-
 TEST(Experiment, AccumulateTruthHitsConcatenates) {
     const auto hits = accumulate_truth_hits(scenario(5), 2);
     const SessionScore one = run_blink_session(scenario(5));
@@ -142,8 +92,6 @@ TEST(Experiment, AccumulateTruthHitsConcatenates) {
 }
 
 TEST(Experiment, RejectsZeroRepetitions) {
-    EXPECT_THROW(repeated_accuracies(scenario(6), 0),
-                 blinkradar::ContractViolation);
     EXPECT_THROW(accumulate_truth_hits(scenario(7), 0),
                  blinkradar::ContractViolation);
 }

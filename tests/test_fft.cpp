@@ -10,6 +10,21 @@
 namespace blinkradar::dsp {
 namespace {
 
+// Forward transform of a copy (every size here is a power of two).
+ComplexSignal fft(ComplexSignal x) {
+    fft_inplace(x);
+    return x;
+}
+
+// Inverse transform by the conjugate trick: ifft(X) = conj(fft(conj(X)))/N.
+ComplexSignal ifft(ComplexSignal x) {
+    for (Complex& v : x) v = std::conj(v);
+    fft_inplace(x);
+    const double inv_n = 1.0 / static_cast<double>(x.size());
+    for (Complex& v : x) v = std::conj(v) * inv_n;
+    return x;
+}
+
 TEST(FftHelpers, PowerOfTwoPredicates) {
     EXPECT_TRUE(is_power_of_two(1));
     EXPECT_TRUE(is_power_of_two(2));
@@ -98,18 +113,18 @@ TEST(Fft, LinearityHolds) {
 }
 
 TEST(Fft, NonPow2InputIsZeroPadded) {
-    ComplexSignal x(10, Complex(1, 0));
-    const ComplexSignal X = fft(x);
-    EXPECT_EQ(X.size(), 16u);
+    const RealSignal x(10, 1.0);
+    const RealSignal mag = magnitude_spectrum_real(x);
+    EXPECT_EQ(mag.size(), 16u / 2 + 1);
     // DC bin sums the 10 ones.
-    EXPECT_NEAR(X[0].real(), 10.0, 1e-12);
+    EXPECT_NEAR(mag[0], 10.0, 1e-12);
 }
 
 TEST(Fft, RealSignalSpectrumIsConjugateSymmetric) {
     Rng rng(5);
     RealSignal x(64);
     for (auto& v : x) v = rng.normal(0, 1);
-    const ComplexSignal X = fft_real(x);
+    const ComplexSignal X = fft(ComplexSignal(x.begin(), x.end()));
     for (std::size_t k = 1; k < 32; ++k) {
         EXPECT_NEAR(X[k].real(), X[64 - k].real(), 1e-9);
         EXPECT_NEAR(X[k].imag(), -X[64 - k].imag(), 1e-9);
@@ -127,16 +142,6 @@ TEST(Fft, MagnitudeSpectrumPeaksAtToneFrequency) {
     for (std::size_t k = 0; k < mag.size(); ++k)
         if (mag[k] > mag[peak]) peak = k;
     EXPECT_EQ(peak, 16u);
-}
-
-TEST(Fft, FftShiftMovesDcToCenter) {
-    ComplexSignal x = {Complex(0, 0), Complex(1, 0), Complex(2, 0),
-                       Complex(3, 0)};
-    const ComplexSignal s = fftshift(x);
-    EXPECT_DOUBLE_EQ(s[0].real(), 2.0);
-    EXPECT_DOUBLE_EQ(s[1].real(), 3.0);
-    EXPECT_DOUBLE_EQ(s[2].real(), 0.0);
-    EXPECT_DOUBLE_EQ(s[3].real(), 1.0);
 }
 
 TEST(Fft, InplaceRejectsNonPow2) {

@@ -18,6 +18,17 @@ RealSignal tone(double freq_hz, std::size_t n) {
     return x;
 }
 
+// |H(f)|: the DTFT of the taps evaluated directly at `freq_hz`.
+double magnitude_response(const FirFilter& f, double freq_hz) {
+    const double omega = constants::kTwoPi * freq_hz / kFs;
+    Complex h(0.0, 0.0);
+    for (std::size_t k = 0; k < f.taps().size(); ++k) {
+        h += f.taps()[k] * Complex(std::cos(omega * static_cast<double>(k)),
+                                   -std::sin(omega * static_cast<double>(k)));
+    }
+    return std::abs(h);
+}
+
 double rms_tail(const RealSignal& x, std::size_t skip) {
     double acc = 0;
     for (std::size_t i = skip; i < x.size(); ++i) acc += x[i] * x[i];
@@ -26,7 +37,7 @@ double rms_tail(const RealSignal& x, std::size_t skip) {
 
 TEST(FirDesign, UnityDcGain) {
     const auto f = FirFilter::low_pass(26, 100.0, kFs);
-    EXPECT_NEAR(f.magnitude_response(0.0, kFs), 1.0, 1e-12);
+    EXPECT_NEAR(magnitude_response(f, 0.0), 1.0, 1e-12);
 }
 
 TEST(FirDesign, TapsCountIsOrderPlusOne) {
@@ -48,8 +59,8 @@ TEST_P(LowPassCutoffs, PassesBelowAttenuatesAbove) {
     const double cutoff = GetParam();
     const auto f = FirFilter::low_pass(48, cutoff, kFs);
     // Passband: half the cutoff. Stopband: twice the cutoff.
-    EXPECT_GT(f.magnitude_response(cutoff * 0.4, kFs), 0.9);
-    EXPECT_LT(f.magnitude_response(cutoff * 2.5, kFs), 0.1);
+    EXPECT_GT(magnitude_response(f, cutoff * 0.4), 0.9);
+    EXPECT_LT(magnitude_response(f, cutoff * 2.5), 0.1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cutoffs, LowPassCutoffs,
@@ -61,21 +72,6 @@ TEST(FirFilter, LowPassSuppressesHighTone) {
     const RealSignal high = f.filter(tone(400.0, 800));
     EXPECT_GT(rms_tail(low, 100), 0.6);   // ~0.707 for a passed sine
     EXPECT_LT(rms_tail(high, 100), 0.02);
-}
-
-TEST(FirFilter, HighPassSuppressesLowTone) {
-    const auto f = FirFilter::high_pass(48, 100.0, kFs);
-    const RealSignal low = f.filter(tone(20.0, 800));
-    const RealSignal high = f.filter(tone(300.0, 800));
-    EXPECT_LT(rms_tail(low, 100), 0.05);
-    EXPECT_GT(rms_tail(high, 100), 0.6);
-}
-
-TEST(FirFilter, BandPassSelectsBand) {
-    const auto f = FirFilter::band_pass(64, 80.0, 160.0, kFs);
-    EXPECT_LT(rms_tail(f.filter(tone(20.0, 1000)), 200), 0.05);
-    EXPECT_GT(rms_tail(f.filter(tone(120.0, 1000)), 200), 0.55);
-    EXPECT_LT(rms_tail(f.filter(tone(350.0, 1000)), 200), 0.05);
 }
 
 TEST(FirFilter, GroupDelayIsHalfOrder) {
@@ -119,10 +115,6 @@ TEST(FirDesign, InvalidParametersThrow) {
                  blinkradar::ContractViolation);
     EXPECT_THROW(FirFilter::low_pass(26, 600.0, kFs),
                  blinkradar::ContractViolation);  // beyond Nyquist
-    EXPECT_THROW(FirFilter::high_pass(27, 100.0, kFs),
-                 blinkradar::ContractViolation);  // odd order
-    EXPECT_THROW(FirFilter::band_pass(64, 200.0, 100.0, kFs),
-                 blinkradar::ContractViolation);  // inverted band
     EXPECT_THROW(FirFilter(RealSignal{}), blinkradar::ContractViolation);
 }
 

@@ -532,10 +532,6 @@ TEST(FlightDumpCorruption, OutOfRangeEnumBytesAreRejected) {
                                       "bad_enum");
     };
     EXPECT_THROW(core::decode_dump(dump_with([](core::PipelineConfig& p) {
-                     p.fir_window = static_cast<dsp::WindowType>(9);
-                 })),
-                 state::SnapshotError);
-    EXPECT_THROW(core::decode_dump(dump_with([](core::PipelineConfig& p) {
                      p.selection_mode = static_cast<core::BinSelectionMode>(9);
                  })),
                  state::SnapshotError);
@@ -549,7 +545,6 @@ TEST(FlightDumpCorruption, OutOfRangeEnumBytesAreRejected) {
                  state::SnapshotError);
     // The last enumerator of each is still accepted.
     EXPECT_NO_THROW(core::decode_dump(dump_with([](core::PipelineConfig& p) {
-        p.fir_window = dsp::WindowType::kBlackman;
         p.selection_mode = core::BinSelectionMode::kMaxPower;
         p.fit_method = core::CircleFitMethod::kTaubin;
         p.waveform_mode = core::WaveformMode::kPhase;
@@ -651,6 +646,51 @@ TEST(FlightDumpCorruption, SelectionCapOtherThanTheConstantIsRejected) {
             ADD_FAILURE() << "a dump with top_candidates " << cap << " loaded";
         } catch (const state::SnapshotError& e) {
             EXPECT_NE(std::string(e.what()).find("top_candidates"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(FlightDumpCorruption, FirWindowOtherThanHammingIsRejected) {
+    // FRCF keeps the u8 slot of the former fir_window setting right after
+    // fir_order, 50 bytes before the top_candidates slot (then the FIR
+    // cutoff, smoothing window, background alpha, selection mode and the
+    // three selection doubles). A default dump writes Hamming's byte, 1.
+    state::StateWriter writer;
+    writer.defer_crcs();
+    core::save_flight_configs(writer, radar::RadarConfig{},
+                              core::PipelineConfig{});
+    const std::vector<std::uint8_t> written = writer.finish();
+    const std::size_t veto_at = written.size() - 5 - 49 - 16 - 1 - 8;
+    const std::size_t window_at = veto_at - 114 - 50;
+    const auto u64_at = [&](std::size_t at) {
+        std::uint64_t v = 0;
+        for (std::size_t k = 0; k < 8; ++k)
+            v |= static_cast<std::uint64_t>(written[at + k]) << (8 * k);
+        return v;
+    };
+    ASSERT_EQ(u64_at(window_at - 8), core::PipelineConfig{}.fir_order);
+    ASSERT_EQ(std::bit_cast<double>(u64_at(window_at + 1)),
+              core::PipelineConfig{}.fir_cutoff_norm);
+    EXPECT_EQ(written[window_at], 1);
+
+    const auto load = [](std::vector<std::uint8_t> bytes) {
+        state::seal_section_crcs(bytes);
+        state::StateReader reader(bytes);
+        return core::load_flight_configs(reader);
+    };
+    EXPECT_NO_THROW(load(written));
+    // Rectangular, Hann, Blackman and a byte no window ever had.
+    for (const std::uint8_t window : {0, 2, 3, 9}) {
+        std::vector<std::uint8_t> bytes = written;
+        bytes[window_at] = window;
+        try {
+            load(std::move(bytes));
+            ADD_FAILURE() << "a dump with fir_window " << int{window}
+                          << " loaded";
+        } catch (const state::SnapshotError& e) {
+            EXPECT_NE(std::string(e.what()).find("fir_window"),
                       std::string::npos)
                 << e.what();
         }

@@ -463,18 +463,5 @@ TEST_F(FrameGuardTransitionTest, MatrixNotifyConvergedIsNoOpElsewhere) {
     EXPECT_EQ(lost.health(), HealthState::kSignalLost);
 }
 
-TEST_F(FrameGuardTest, ResetClearsHistoryAndHealth) {
-    FrameGuard guard = make_guard();
-    guard.admit(make_frame(5.0, n_bins_));
-    for (int i = 0; i < 20; ++i) guard.admit(make_frame(5.0, n_bins_));
-    ASSERT_NE(guard.health(), HealthState::kOk);
-    guard.reset();
-    EXPECT_EQ(guard.health(), HealthState::kOk);
-    EXPECT_EQ(guard.fault_rate(), 0.0);
-    // Timestamps may restart from zero after a reset.
-    EXPECT_EQ(guard.admit(make_frame(0.0, n_bins_)).verdict,
-              FrameVerdict::kClean);
-}
-
 }  // namespace
 }  // namespace blinkradar::core

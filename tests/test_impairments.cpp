@@ -193,21 +193,5 @@ TEST(FaultInjector, SaturationClampsToTheRail) {
         }
 }
 
-TEST(FaultInjector, WrapsALiveSimulator) {
-    RadarConfig radar;
-    std::vector<DynamicPath> paths;
-    paths.push_back(DynamicPath{
-        "static", [](Seconds) { return 0.4; }, [](Seconds) { return 1.0; },
-        true});
-    FrameSimulator sim(radar, paths, Rng(31));
-    FaultInjectorConfig config;
-    config.drop_rate = 0.2;
-    FaultInjector injector(config, 31);
-    const FrameSeries out = injector.generate(sim, 4.0);
-    EXPECT_EQ(injector.stats().frames_in, 100u);
-    EXPECT_EQ(out.size(), 100u - injector.stats().dropped);
-    EXPECT_GT(injector.stats().dropped, 5u);
-}
-
 }  // namespace
 }  // namespace blinkradar::radar

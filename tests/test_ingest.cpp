@@ -640,6 +640,89 @@ TEST(IngestFrontend, WatchdogReconnectsAStalledStream) {
     expect_no_silent_loss(fe, adm.id);
 }
 
+namespace {
+/// A source that cannot signal: serves its bytes, then stays silent
+/// (not exhausted) until run_dry(), after which it is exhausted for
+/// good. Counts the reconnects it is asked for.
+class DryingSource : public ingest::ByteSource {
+public:
+    explicit DryingSource(std::vector<std::uint8_t> bytes)
+        : inner_(std::move(bytes)) {}
+
+    std::size_t read(std::uint8_t* out, std::size_t max) override {
+        return inner_.read(out, max);
+    }
+    bool exhausted() const override { return dry_; }
+    void reconnect() override { ++reconnects_; }
+
+    void run_dry() { dry_ = true; }
+    std::size_t reconnects() const { return reconnects_; }
+
+private:
+    ingest::MemoryByteSource inner_;
+    bool dry_ = false;
+    std::size_t reconnects_ = 0;
+};
+}  // namespace
+
+TEST(IngestFrontend, ExhaustedStreamIsNeverReconnected) {
+    // Two streams stall past the watchdog threshold, get reconnected,
+    // and then finish with nothing left to read: a pipe closed empty
+    // (it leaves the poll set) and a source that cannot signal (it is
+    // polled every tick). No reconnect can bring either one a byte, so
+    // neither is reconnected again, and each stall clock stops where
+    // its source ran dry.
+    const auto sims = make_sessions(1, 2.0);
+    const std::vector<std::uint8_t> bytes = encode(sims[0], 0);
+    const std::size_t head = kStreamHeaderBytes + kHelloRecordBytes +
+                             2 * frame_record_bytes(sims[0].radar.n_bins());
+    ASSERT_LT(head, bytes.size());
+    ingest::BytePipe pipe;
+    ThreadPool pool(1);
+    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    obs::MetricsRegistry reg;
+    ingest::IngestFrontend fe(ingest::IngestConfig{}, engine, &reg);
+
+    const auto pipe_adm = fe.open_stream(pipe.make_source());
+    auto drying = std::make_unique<DryingSource>(
+        std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + head));
+    DryingSource& dry = *drying;
+    const auto dry_adm = fe.open_stream(std::move(drying));
+    ASSERT_TRUE(pipe_adm.admitted());
+    ASSERT_TRUE(dry_adm.admitted());
+    pipe.write({bytes.data(), head});
+
+    for (int t = 0; t < 80; ++t) fe.pump();
+    ASSERT_GE(fe.stream_stats(pipe_adm.id).reconnects, 1u);
+    ASSERT_GE(dry.reconnects(), 1u);
+
+    pipe.close();
+    dry.run_dry();
+    fe.pump();
+    const ingest::StreamStats pipe_at = fe.stream_stats(pipe_adm.id);
+    const ingest::StreamStats dry_at = fe.stream_stats(dry_adm.id);
+    const std::size_t dry_calls = dry.reconnects();
+    const std::uint64_t counted =
+        reg.counter("ingest.watchdog.reconnects").value();
+    ASSERT_TRUE(pipe_at.exhausted);
+    ASSERT_TRUE(dry_at.exhausted);
+    EXPECT_EQ(counted, pipe_at.reconnects + dry_at.reconnects);
+
+    for (int t = 0; t < 1500; ++t) {
+        fe.pump();
+        const ingest::StreamStats p = fe.stream_stats(pipe_adm.id);
+        const ingest::StreamStats d = fe.stream_stats(dry_adm.id);
+        ASSERT_EQ(p.reconnects, pipe_at.reconnects) << "tick " << t;
+        ASSERT_EQ(d.reconnects, dry_at.reconnects) << "tick " << t;
+        ASSERT_EQ(p.stall_run, pipe_at.stall_run) << "tick " << t;
+        ASSERT_EQ(d.stall_run, dry_at.stall_run) << "tick " << t;
+    }
+    EXPECT_EQ(dry.reconnects(), dry_calls);
+    EXPECT_EQ(reg.counter("ingest.watchdog.reconnects").value(), counted);
+    EXPECT_EQ(fe.stream_stats(pipe_adm.id).frames_decoded, 2u);
+    EXPECT_EQ(fe.stream_stats(dry_adm.id).frames_decoded, 2u);
+}
+
 TEST(IngestFrontend, HeldFrameRetryDropIsCounted) {
     // Stream 1 is blocked and holds the frame its full queue refused,
     // while stream 0 (lower id) takes the whole deliver budget, so
@@ -992,8 +1075,9 @@ TEST(IngestReadySet, PipeStreamsBitIdenticalAcrossSweep) {
               (std::vector<std::uint64_t>{65, 69, 78, 105}));
     EXPECT_EQ(base.reconnect_ticks[1],
               (std::vector<std::uint64_t>{51, 55, 71, 94, 138, 226}));
+    // Stream 5 runs dry at its tick-100 close: no reconnect after it.
     EXPECT_EQ(base.reconnect_ticks[5],
-              (std::vector<std::uint64_t>{51, 57, 66, 88, 141, 255}));
+              (std::vector<std::uint64_t>{51, 57, 66, 88}));
 
     const std::size_t shard_counts[] = {1, 3, 8};
     const std::size_t pool_sizes[] = {1, 2, 7};

@@ -152,43 +152,6 @@ TEST(Snapshot, EmptyRegistrySerialisesCleanly) {
     EXPECT_NE(j.find("\"histograms\": {}"), std::string::npos);
 }
 
-TEST(Snapshot, CsvHasOneRowPerMetric) {
-    const std::string path = ::testing::TempDir() + "br_obs_snapshot.csv";
-    snapshot_to_csv(sample_registry(), path);
-    const std::string text = read_all(path);
-    std::remove(path.c_str());
-    std::istringstream in(text);
-    std::string line;
-    std::vector<std::string> lines;
-    while (std::getline(in, line)) lines.push_back(line);
-    ASSERT_EQ(lines.size(), 5u);  // header + 2 counters + 1 gauge + 1 hist
-    EXPECT_EQ(lines[0],
-              "kind,name,count,sum_ns,min_ns,max_ns,p50_ns,p99_ns,value");
-    EXPECT_EQ(lines[1].rfind("counter,pipeline.blinks,", 0), 0u);
-    EXPECT_EQ(lines[4].rfind("histogram,stage.preprocess,2,4900,900,4000,",
-                             0),
-              0u);
-}
-
-TEST(Snapshot, CsvQuotesAwkwardMetricNames) {
-    // Metric names are caller-chosen strings; a name carrying the CSV
-    // delimiter or quotes must round-trip through the RFC-4180 quoting
-    // CsvWriter applies, not shift every column after it.
-    MetricsRegistry r;
-    r.counter("weird,name").inc(7);
-    r.gauge("has\"quote").set(1.5);
-    const std::string path = ::testing::TempDir() + "br_obs_quoted.csv";
-    snapshot_to_csv(r, path);
-    const std::string text = read_all(path);
-    std::remove(path.c_str());
-    EXPECT_NE(text.find("counter,\"weird,name\",,,,,,,7"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("gauge,\"has\"\"quote\",,,,,,,1.5"),
-              std::string::npos)
-        << text;
-}
-
 TEST(StageTimer, NullHistogramIsInert) {
     { const StageTimer t(nullptr); }
     SUCCEED();

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "common/contracts.hpp"
-#include "common/units.hpp"
+#include "dsp/dsp_types.hpp"
 #include "dsp/peaks.hpp"
 
 namespace blinkradar::dsp {
@@ -18,19 +15,9 @@ TEST(Peaks, FindsSimpleMaxima) {
     EXPECT_EQ(maxima[2], 5u);
 }
 
-TEST(Peaks, FindsSimpleMinima) {
-    const RealSignal x = {3, 1, 3, 0, 3};
-    const auto minima = find_local_minima(x);
-    ASSERT_EQ(minima.size(), 2u);
-    EXPECT_EQ(minima[0], 1u);
-    EXPECT_EQ(minima[1], 3u);
-}
-
 TEST(Peaks, EndpointsAreNeverExtrema) {
     const RealSignal x = {5, 1, 5};
     EXPECT_TRUE(find_local_maxima(x).empty());
-    const RealSignal y = {0, 9, 0};
-    EXPECT_TRUE(find_local_minima(y).empty());
 }
 
 TEST(Peaks, TooShortSignalsYieldNothing) {
@@ -52,51 +39,6 @@ TEST(Peaks, MinSeparationKeepsLargest) {
     ASSERT_EQ(maxima.size(), 2u);
     EXPECT_EQ(maxima[0], 1u);
     EXPECT_EQ(maxima[1], 7u);
-}
-
-TEST(Peaks, AlternatingExtremaStrictlyAlternate) {
-    RealSignal x(100);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        x[i] = std::sin(0.3 * static_cast<double>(i)) +
-               0.2 * std::sin(1.7 * static_cast<double>(i));
-    const auto ext = alternating_extrema(x);
-    ASSERT_GT(ext.size(), 4u);
-    for (std::size_t i = 1; i < ext.size(); ++i) {
-        EXPECT_NE(ext[i].is_maximum, ext[i - 1].is_maximum);
-        EXPECT_GT(ext[i].index, ext[i - 1].index);
-    }
-}
-
-TEST(Peaks, AlternatingExtremaMaxAboveNeighbouringMin) {
-    RealSignal x(60);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        x[i] = std::cos(0.5 * static_cast<double>(i));
-    const auto ext = alternating_extrema(x);
-    for (std::size_t i = 1; i < ext.size(); ++i) {
-        if (ext[i].is_maximum)
-            EXPECT_GT(ext[i].value, ext[i - 1].value);
-        else
-            EXPECT_LT(ext[i].value, ext[i - 1].value);
-    }
-}
-
-TEST(Peaks, ProminenceOfIsolatedPeakIsItsHeight) {
-    RealSignal x(21, 0.0);
-    x[10] = 4.0;
-    EXPECT_DOUBLE_EQ(prominence(x, 10), 4.0);
-}
-
-TEST(Peaks, ProminenceOfShoulderPeakIsLimitedByCol) {
-    // Main peak 10 at index 5; shoulder peak 6 at index 15 with a valley
-    // of 2 between them: shoulder prominence = 6 - 2 = 4.
-    RealSignal x = {0, 2, 6, 8, 9, 10, 9, 7, 4, 2, 2, 3, 4, 5, 5.5,
-                    6, 5.5, 4, 2, 1, 0};
-    EXPECT_DOUBLE_EQ(prominence(x, 15), 4.0);
-}
-
-TEST(Peaks, ProminenceRejectsOutOfRange) {
-    const RealSignal x = {1, 2, 1};
-    EXPECT_THROW(prominence(x, 3), blinkradar::ContractViolation);
 }
 
 }  // namespace

@@ -124,8 +124,10 @@ TEST(Recovery, WritesRecoveryJson) {
     const CrashDrillSpec drill;
     const double baseline_f1 = run_recovery_baseline(scenarios);
     const std::vector<std::size_t> intervals = {0, 100};
-    const std::vector<RecoveryPoint> points =
-        run_recovery_sweep(scenarios, intervals, drill);
+    std::vector<RecoveryPoint> points;
+    for (const std::size_t interval : intervals)
+        points.push_back(
+            run_recovery_point(scenarios, interval, drill, baseline_f1));
     ASSERT_EQ(points.size(), intervals.size());
 
     const std::string path =

@@ -1,53 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "common/contracts.hpp"
+#include "dsp/dsp_types.hpp"
 #include "dsp/resample.hpp"
 
 namespace blinkradar::dsp {
 namespace {
-
-TEST(Resample, IdentityWhenSameLength) {
-    const RealSignal x = {1.0, 2.0, 3.0, 4.0};
-    const RealSignal y = resample_linear(x, 4);
-    for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
-}
-
-TEST(Resample, UpsampleInterpolatesLinearly) {
-    const RealSignal x = {0.0, 2.0};
-    const RealSignal y = resample_linear(x, 5);
-    const double expected[] = {0.0, 0.5, 1.0, 1.5, 2.0};
-    for (std::size_t i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(y[i], expected[i]);
-}
-
-TEST(Resample, EndpointsArePreserved) {
-    const RealSignal x = {3.0, 7.0, -1.0, 5.0, 9.0};
-    const RealSignal y = resample_linear(x, 17);
-    EXPECT_DOUBLE_EQ(y.front(), 3.0);
-    EXPECT_DOUBLE_EQ(y.back(), 9.0);
-}
-
-TEST(Resample, LinearRampSurvivesAnyLength) {
-    RealSignal x(11);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i);
-    const RealSignal y = resample_linear(x, 101);
-    for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_NEAR(y[i], static_cast<double>(i) / 10.0, 1e-12);
-}
-
-TEST(Decimate, KeepsEveryNth) {
-    const RealSignal x = {0, 1, 2, 3, 4, 5, 6};
-    const RealSignal y = decimate(x, 3);
-    ASSERT_EQ(y.size(), 3u);
-    EXPECT_DOUBLE_EQ(y[0], 0.0);
-    EXPECT_DOUBLE_EQ(y[1], 3.0);
-    EXPECT_DOUBLE_EQ(y[2], 6.0);
-}
-
-TEST(Decimate, FactorOneIsIdentity) {
-    const RealSignal x = {1, 2, 3};
-    const RealSignal y = decimate(x, 1);
-    EXPECT_EQ(y.size(), 3u);
-}
 
 TEST(InterpAt, InterpolatesAndClamps) {
     const RealSignal x = {0.0, 10.0, 20.0};
@@ -55,14 +12,6 @@ TEST(InterpAt, InterpolatesAndClamps) {
     EXPECT_DOUBLE_EQ(interp_at(x, 1.25), 12.5);
     EXPECT_DOUBLE_EQ(interp_at(x, -3.0), 0.0);   // clamp low
     EXPECT_DOUBLE_EQ(interp_at(x, 99.0), 20.0);  // clamp high
-}
-
-TEST(Resample, RejectsDegenerateInput) {
-    EXPECT_THROW(resample_linear(RealSignal{1.0}, 5),
-                 blinkradar::ContractViolation);
-    EXPECT_THROW(resample_linear(RealSignal{1.0, 2.0}, 1),
-                 blinkradar::ContractViolation);
-    EXPECT_THROW(decimate(RealSignal{1.0}, 0), blinkradar::ContractViolation);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "core/drowsy.hpp"
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "physio/driver_profile.hpp"
@@ -291,26 +290,6 @@ TEST(Resume, CorruptedSnapshotIsRejectedNotApplied) {
     // walk must reject it before any component sees a single field.
     bytes[bytes.size() / 2] ^= 0x40;
     EXPECT_THROW(state::StateReader reader(bytes), state::SnapshotError);
-}
-
-TEST(Resume, DrowsinessModelRoundTrips) {
-    DrowsinessDetector model;
-    const double awake[] = {12.0, 14.0, 11.0};
-    const double drowsy[] = {24.0, 28.0, 26.0};
-    model.train(awake, drowsy);
-    state::StateWriter writer;
-    model.save_state(writer);
-    const std::vector<std::uint8_t> bytes = writer.finish();
-
-    DrowsinessDetector restored;
-    state::StateReader reader(bytes);
-    restored.restore_state(reader);
-    EXPECT_TRUE(restored.trained());
-    EXPECT_EQ(restored.threshold_rate(), model.threshold_rate());
-    EXPECT_EQ(restored.awake_mean(), model.awake_mean());
-    EXPECT_EQ(restored.drowsy_mean(), model.drowsy_mean());
-    EXPECT_EQ(restored.classify(30.0), DrowsinessLabel::kDrowsy);
-    EXPECT_EQ(restored.classify(10.0), DrowsinessLabel::kAwake);
 }
 
 }  // namespace blinkradar::core

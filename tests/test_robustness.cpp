@@ -171,7 +171,13 @@ TEST(Robustness, SweepPointIsDeterministic) {
 
 TEST(Robustness, FaultConfigMappingCoversEveryKind) {
     const radar::RadarConfig radar;
-    for (const eval::FaultKind kind : eval::all_fault_kinds()) {
+    using eval::FaultKind;
+    for (const FaultKind kind :
+         {FaultKind::kNone, FaultKind::kDrop, FaultKind::kDuplicate,
+          FaultKind::kJitter, FaultKind::kSaturation, FaultKind::kDeadBins,
+          FaultKind::kGainDrift, FaultKind::kInterference,
+          FaultKind::kNanCorruption, FaultKind::kTruncate,
+          FaultKind::kDropPlusJitter}) {
         const radar::FaultInjectorConfig config =
             eval::make_fault_config(kind, 0.1, radar);
         if (kind == eval::FaultKind::kNone)

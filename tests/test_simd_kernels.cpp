@@ -86,8 +86,7 @@ TEST(SimdKernels, InterleaveRoundTripsAllBackends) {
 
 TEST(SimdKernels, Fir2MatchesAcrossBackends) {
     Rng rng(2);
-    const FirFilter fir =
-        FirFilter::low_pass(26, 0.10, 1.0, WindowType::kHamming);
+    const FirFilter fir = FirFilter::low_pass(26, 0.10, 1.0);
     const RealSignal& taps = fir.taps();
     for (const std::size_t n : kSizes) {
         const std::vector<double> xi = random_vec(rng, n);
@@ -107,8 +106,7 @@ TEST(SimdKernels, Fir2MatchesAcrossBackends) {
 
 TEST(SimdKernels, Fir2MatchesLegacyComplexFilter) {
     Rng rng(3);
-    const FirFilter fir =
-        FirFilter::low_pass(26, 0.10, 1.0, WindowType::kHamming);
+    const FirFilter fir = FirFilter::low_pass(26, 0.10, 1.0);
     for (const std::size_t n : kSizes) {
         IqPlanes in;
         in.resize(n);

@@ -2,13 +2,24 @@
 
 #include <cmath>
 
-#include "common/contracts.hpp"
 #include "common/random.hpp"
 #include "dsp/smoothing.hpp"
 #include "dsp/stats.hpp"
 
 namespace blinkradar::dsp {
 namespace {
+
+// Smooths a real signal through the complex moving_average_into: I and Q
+// are smoothed independently, so a zero Q plane leaves I exactly what a
+// real-valued smoother gives.
+RealSignal moving_average(const RealSignal& x, std::size_t window) {
+    const ComplexSignal z(x.begin(), x.end());
+    ComplexSignal out, prefix;
+    moving_average_into(z, window, out, prefix);
+    RealSignal y(out.size());
+    for (std::size_t i = 0; i < out.size(); ++i) y[i] = out[i].real();
+    return y;
+}
 
 TEST(MovingAverage, FlatSignalIsUnchanged) {
     const RealSignal x(50, 3.5);
@@ -51,85 +62,12 @@ TEST(MovingAverage, ComplexVariantSmoothsBothComponents) {
     ComplexSignal z(40);
     for (std::size_t i = 0; i < z.size(); ++i)
         z[i] = Complex(i % 2 ? 1.0 : -1.0, i % 2 ? -1.0 : 1.0);
-    const ComplexSignal s = moving_average(z, 8);
+    ComplexSignal s, prefix;
+    moving_average_into(z, 8, s, prefix);
     for (std::size_t i = 10; i < 30; ++i) {
         EXPECT_LT(std::abs(s[i].real()), 0.2);
         EXPECT_LT(std::abs(s[i].imag()), 0.2);
     }
-}
-
-TEST(MedianFilter, RemovesImpulsesCompletely) {
-    RealSignal x(41, 1.0);
-    x[20] = 100.0;  // a single-sample spike
-    const RealSignal y = median_filter(x, 5);
-    for (const double v : y) EXPECT_DOUBLE_EQ(v, 1.0);
-}
-
-TEST(MedianFilter, PreservesStepEdges) {
-    RealSignal x(40, 0.0);
-    for (std::size_t i = 20; i < 40; ++i) x[i] = 1.0;
-    const RealSignal y = median_filter(x, 5);
-    EXPECT_DOUBLE_EQ(y[10], 0.0);
-    EXPECT_DOUBLE_EQ(y[30], 1.0);
-    // The step stays a step (no ramp like a mean filter would create).
-    EXPECT_DOUBLE_EQ(y[19], 0.0);
-    EXPECT_DOUBLE_EQ(y[20], 1.0);
-}
-
-TEST(MedianFilter, RequiresOddWindow) {
-    const RealSignal x(10, 0.0);
-    EXPECT_THROW(median_filter(x, 4), blinkradar::ContractViolation);
-}
-
-TEST(ExponentialSmooth, AlphaOneIsIdentity) {
-    const RealSignal x = {1.0, 5.0, -2.0};
-    const RealSignal y = exponential_smooth(x, 1.0);
-    for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
-}
-
-TEST(ExponentialSmooth, ConvergesToStepValue) {
-    RealSignal x(200, 1.0);
-    const RealSignal y = exponential_smooth(x, 0.1);
-    EXPECT_NEAR(y.back(), 1.0, 1e-6);
-}
-
-TEST(ExponentialSmooth, InvalidAlphaThrows) {
-    const RealSignal x(5, 0.0);
-    EXPECT_THROW(exponential_smooth(x, 0.0), blinkradar::ContractViolation);
-    EXPECT_THROW(exponential_smooth(x, 1.5), blinkradar::ContractViolation);
-}
-
-TEST(SavitzkyGolay, PreservesPolynomialsUpToOrder) {
-    // A quadratic is reproduced exactly by a quadratic SG filter
-    // (away from the renormalised edges).
-    RealSignal x(60);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        const double t = static_cast<double>(i);
-        x[i] = 0.5 * t * t - 3.0 * t + 2.0;
-    }
-    const RealSignal y = savitzky_golay(x, 11, 2);
-    for (std::size_t i = 6; i < 54; ++i) EXPECT_NEAR(y[i], x[i], 1e-8);
-}
-
-TEST(SavitzkyGolay, SmoothsNoiseButKeepsPeakBetterThanMean) {
-    // A narrow Gaussian bump with noise: SG should preserve the peak
-    // height better than a same-width moving average.
-    Rng rng(3);
-    RealSignal x(101);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        const double d = static_cast<double>(i) - 50.0;
-        x[i] = std::exp(-d * d / 18.0) + rng.normal(0, 0.02);
-    }
-    const RealSignal sg = savitzky_golay(x, 11, 3);
-    const RealSignal ma = moving_average(x, 11);
-    EXPECT_GT(sg[50], ma[50]);
-    EXPECT_NEAR(sg[50], 1.0, 0.1);
-}
-
-TEST(SavitzkyGolay, InvalidParamsThrow) {
-    const RealSignal x(30, 0.0);
-    EXPECT_THROW(savitzky_golay(x, 10, 2), blinkradar::ContractViolation);
-    EXPECT_THROW(savitzky_golay(x, 5, 5), blinkradar::ContractViolation);
 }
 
 }  // namespace

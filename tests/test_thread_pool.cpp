@@ -160,18 +160,6 @@ TEST(ThreadPoolDeterminism, RunSessionsMatchesSerialLoopBitwise) {
     }
 }
 
-TEST(ThreadPoolDeterminism, RepeatedAccuraciesMatchesDerivedSeeds) {
-    const sim::ScenarioConfig base = scenario(17);
-    const auto batch = eval::repeated_accuracies(base, 4);
-    ASSERT_EQ(batch.size(), 4u);
-    for (std::size_t r = 0; r < 4; ++r) {
-        sim::ScenarioConfig sc = base;
-        sc.seed = base.seed + r;
-        EXPECT_EQ(batch[r], eval::run_blink_session(sc).accuracy)
-            << "repetition " << r;
-    }
-}
-
 TEST(ThreadPoolDeterminism, DrowsyBatchMatchesPerScenarioCalls) {
     std::vector<sim::ScenarioConfig> scenarios;
     for (std::uint64_t s = 100; s < 103; ++s) {

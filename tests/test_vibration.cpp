@@ -56,14 +56,6 @@ TEST(Vibration, SwayIsSlowAndBounded) {
     }
 }
 
-TEST(Vibration, ForRoadUsesTheRoadSpec) {
-    const VibrationModel smooth =
-        VibrationModel::for_road(RoadType::kSmoothHighway, 60.0, kFs, Rng(5));
-    const VibrationModel bumpy =
-        VibrationModel::for_road(RoadType::kBumpyRoad, 60.0, kFs, Rng(5));
-    EXPECT_GT(bumpy.rms(), smooth.rms() * 2.0);
-}
-
 TEST(Vibration, DeterministicForSeed) {
     const RoadVibrationSpec spec = vibration_spec(RoadType::kBumpyRoad);
     const VibrationModel a(spec, 30.0, kFs, Rng(6));
